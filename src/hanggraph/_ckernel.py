@@ -1,4 +1,4 @@
-"""Compiled kernels: the semantics twin of ``_pykernel`` for n <= 64.
+"""Compiled kernels: the semantics twin of ``_pykernel``.
 
 The kernels are plain C in ``hgkernel.c``.  On first import this module
 compiles that file with the system C compiler (``$CC``, default ``cc``) into
@@ -11,10 +11,11 @@ temporary file that is renamed into place, so no process ever loads a
 partly written object.
 
 Every public function takes and returns the same plain Python values as the
-pure backend and raises ``ValueError`` past the 64-vertex word width (11
-vertices for ``classify_bits``); ``kernels`` routes larger graphs to the
-pure backend.  Importing raises ``ImportError`` with the reason when the
-kernel cannot be built or loaded.
+pure backend.  Graphs past the 64-vertex word width (11 vertices for
+``classify_bits``; for the product verifiers, either factor or the product)
+are sent to the pure twin here, so any input gets the pure answer.
+Importing raises ``ImportError`` with the reason when the kernel cannot be
+built or loaded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
 from typing import Sequence
 
-BACKEND = "compiled"
+from . import _pykernel as _py
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hgkernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -131,8 +132,6 @@ _dist_packers: dict[int, struct.Struct] = {}
 
 def _masks(masks: Sequence[int]) -> bytes:
     n = len(masks)
-    if n > MAXN:
-        raise ValueError("compiled kernel supports at most 64 vertices")
     packer = _mask_packers.get(n)
     if packer is None:
         packer = _mask_packers[n] = struct.Struct(f"{n}Q")
@@ -140,8 +139,6 @@ def _masks(masks: Sequence[int]) -> bytes:
 
 
 def _dist(dist: Sequence[int], n: int) -> bytes:
-    if n > MAXN:
-        raise ValueError("compiled kernel supports at most 64 vertices")
     if n < 0 or n * n != len(dist):
         raise ValueError("distance matrix length does not match n")
     packer = _dist_packers.get(n)
@@ -151,24 +148,31 @@ def _dist(dist: Sequence[int], n: int) -> bytes:
 
 
 def apsp(masks: Sequence[int]) -> list[int]:
-    adj = _masks(masks)
     n = len(masks)
+    if n > MAXN:
+        return _py.apsp(masks)
     dist = array("b", bytes(n * n))  # named, so it outlives the call that fills it
-    _apsp(adj, n, dist.buffer_info()[0])
+    _apsp(_masks(masks), n, dist.buffer_info()[0])
     return dist.tolist()
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
+    if len(masks) > MAXN:
+        return _py.is_connected_masks(masks)
     return bool(_connected(_masks(masks), len(masks)))
 
 
 def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
+    if n > MAXN:
+        return _py.hangable_subset(dist, n)
     r = _subset(_dist(dist, n), n)
     return (True, -1, -1) if r < 0 else (False, r >> 6, r & 63)
 
 
 def hangable_triples(dist: Sequence[int], n: int,
                      exhaustive: bool = False) -> tuple[bool, int, int, int, int]:
+    if n > MAXN:
+        return _py.hangable_triples(dist, n, exhaustive)
     r = _triples(_dist(dist, n), n, bool(exhaustive))
     if r == 0:
         return (True, -1, -1, -1, 0)
@@ -176,17 +180,21 @@ def hangable_triples(dist: Sequence[int], n: int,
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:
+    if len(masks) > MAXN:
+        return _py.is_block_graph_masks(masks)
     return bool(_block(_masks(masks), len(masks)))
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
+    if n > MAXN:
+        return _py.smallest_power_k(dist, n)
     return _kmin(_dist(dist, n), n)
 
 
 def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     """Mirror of the pure classify_bits; n is capped so bits fit a word."""
     if n > MAX_CLASSIFY_N:
-        raise ValueError("compiled classify_bits supports at most 11 vertices")
+        return _py.classify_bits(n, bits)
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     r = _classify(n, bits)
@@ -198,27 +206,25 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
 def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                   masks_h: Sequence[int]) -> int:
     """Mirror of the pure corona_verify."""
-    adjg, adjh = _masks(masks_g), _masks(masks_h)
     ng, nh = len(masks_g), len(masks_h)
-    if ng * (1 + nh) > MAXN:
-        raise ValueError("corona too large for compiled kernel")
-    return _corona(adjg, ng, _dist(dist_g, ng), adjh, nh)
+    if max(nh, ng * (1 + nh)) > MAXN:
+        return _py.corona_verify(masks_g, dist_g, masks_h)
+    return _corona(_masks(masks_g), ng, _dist(dist_g, ng), _masks(masks_h), nh)
 
 
 def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                      masks_h: Sequence[int], dist_h: Sequence[int]) -> int:
     """Mirror of the pure cartesian_verify."""
-    adjg, adjh = _masks(masks_g), _masks(masks_h)
     ng, nh = len(masks_g), len(masks_h)
-    if ng * nh > MAXN:
-        raise ValueError("box product too large for compiled kernel")
-    return _cartesian(adjg, ng, _dist(dist_g, ng), adjh, nh, _dist(dist_h, nh))
+    if max(ng, nh, ng * nh) > MAXN:
+        return _py.cartesian_verify(masks_g, dist_g, masks_h, dist_h)
+    return _cartesian(_masks(masks_g), ng, _dist(dist_g, ng),
+                      _masks(masks_h), nh, _dist(dist_h, nh))
 
 
 def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     """Mirror of the pure join_verify."""
-    adjg, adjh = _masks(masks_g), _masks(masks_h)
     ng, nh = len(masks_g), len(masks_h)
     if ng + nh > MAXN:
-        raise ValueError("join too large for compiled kernel")
-    return _join(adjg, ng, adjh, nh)
+        return _py.join_verify(masks_g, masks_h)
+    return _join(_masks(masks_g), ng, _masks(masks_h), nh)

@@ -4,16 +4,15 @@ A graph on n vertices is a sequence ``masks`` of n ints where bit j of
 ``masks[i]`` is set iff ij is an edge.  Distance matrices are flat row-major
 lists of length n*n with -1 for unreachable pairs.  Everything here is plain
 data in and plain data out so the compiled twin in ``_ckernel`` can mirror the
-signatures exactly; ``kernels`` picks between the two.
+signatures exactly; ``kernels`` picks one of the two at import.
 
-Python ints double as unbounded bitsets, so this backend has no vertex limit.
+Python ints double as unbounded bitsets, so this backend has no vertex limit;
+``_ckernel`` hands it the graphs too large for its word-size masks.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-BACKEND = "pure"
 
 # classify_bits flag bits
 F_CONNECTED = 1

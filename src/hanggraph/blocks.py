@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DisconnectedGraphError, Graph, GraphInputError, first_unreached
+from .graph import Graph, GraphInputError, disconnected_error, first_unreached
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
         raise GraphInputError("block decomposition needs at least one vertex")
     missing = first_unreached(g)
     if missing is not None:
-        raise DisconnectedGraphError(
-            f"graph is not connected: vertex {missing} is unreachable from 0",
-            unreached=missing)
+        raise disconnected_error(missing)
     if g.n == 1:
         return BlockDecomposition(((0,),), frozenset())
 
@@ -113,7 +111,5 @@ def is_tree(g: Graph) -> bool:
         raise GraphInputError("tree test needs at least one vertex")
     missing = first_unreached(g)
     if missing is not None:
-        raise DisconnectedGraphError(
-            f"graph is not connected: vertex {missing} is unreachable from 0",
-            unreached=missing)
+        raise disconnected_error(missing)
     return g.m == g.n - 1

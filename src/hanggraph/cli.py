@@ -322,7 +322,7 @@ def _cell(value) -> str:
 
 def cmd_classify(args) -> int:
     _reject_graph6(args, "classify")
-    text = _read_source(args.input) if args.input != "-" else sys.stdin.read()
+    text = _read_source(args.input)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     records = explorer_mod.classify_stream(lines)
     if args.format == "structured":
@@ -400,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format (default: text)")
     common.add_argument("--quiet", action="store_true",
                         help="suppress normal output; rely on the exit code")
-    common.add_argument("--budget", type=int, default=10_000_000,
-                        help="subset budget for subgraph-search (default 10^7)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", parents=[common],
@@ -457,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="connected-induced")
     p.add_argument("--emit-graph6", action="store_true",
                    help="also list the hangable subgraphs in graph6")
+    p.add_argument("--budget", type=int, default=10_000_000,
+                   help="subset budget (default 10^7)")
     p.set_defaults(fn=cmd_subgraph_search)
     return parser
 

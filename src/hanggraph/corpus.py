@@ -9,7 +9,7 @@ random.Random so runs are reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import _pykernel
 from .graph import Graph, _build
@@ -25,13 +25,6 @@ def edge_pairs(n: int) -> list[tuple[int, int]]:
 
 def graph_from_bits(n: int, bits: int) -> Graph:
     edges = [pair for k, pair in enumerate(edge_pairs(n)) if (bits >> k) & 1]
-    return _build(n, edges)
-
-
-def graph_from_masks(masks: Sequence[int]) -> Graph:
-    n = len(masks)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if (masks[i] >> j) & 1]
     return _build(n, edges)
 
 

@@ -24,6 +24,13 @@ class DisconnectedGraphError(ValueError):
         self.unreached = unreached
 
 
+def disconnected_error(unreached: int, source: int = 0) -> DisconnectedGraphError:
+    """The error for a graph in which ``unreached`` cannot be reached from ``source``."""
+    return DisconnectedGraphError(
+        f"graph is not connected: vertex {unreached} is unreachable from {source}",
+        unreached=unreached)
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -65,28 +72,6 @@ class Graph:
             object.__setattr__(self, "_masks", cached)
         return cached
 
-    def validate(self) -> None:
-        """Check structural invariants; raises GraphInputError on violation."""
-        if self.n < 0:
-            raise GraphInputError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise GraphInputError("adjacency length does not match vertex count")
-        for u, nbrs in enumerate(self.adj):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise GraphInputError(f"neighbors of {u} not sorted and distinct")
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise GraphInputError(f"neighbor {v} of {u} out of range")
-                if v == u:
-                    raise GraphInputError(f"self-loop at {u}")
-                if u not in self.adj[v]:
-                    raise GraphInputError(f"edge {u}-{v} not symmetric")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise GraphInputError("label count does not match vertex count")
-            if len(set(self.labels)) != self.n:
-                raise GraphInputError("labels must be unique")
-
 
 def _build(n: int, edges: Iterable[tuple[int, int]],
            labels: Sequence[str] | None = None) -> Graph:
@@ -127,20 +112,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]],
 
 def is_connected(g: Graph) -> bool:
     """Vacuously true for n <= 1."""
-    if g.n <= 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return g.n <= 1 or first_unreached(g) is None
 
 
 def first_unreached(g: Graph, source: int = 0) -> int | None:
@@ -176,9 +148,7 @@ def power(g: Graph, k: int) -> Graph:
         raise GraphInputError(f"power exponent must be at least 1, got {k}")
     missing = first_unreached(g) if g.n > 1 else None
     if missing is not None:
-        raise DisconnectedGraphError(
-            f"power requires a connected graph: vertex {missing} is unreachable from 0",
-            unreached=missing)
+        raise disconnected_error(missing)
     edges = []
     for s in range(g.n):
         # BFS truncated at depth k

@@ -1,22 +1,21 @@
-"""Kernel backend dispatch.
+"""Kernel backend selection.
 
-The compiled kernel (``_ckernel``, C built on first import) handles graphs
-whose masks fit in a 64-bit word; anything larger goes to the pure-Python
-twin (``_pykernel``).  When the compiled kernel cannot be built or loaded,
-everything goes to the pure twin and a RuntimeWarning says why.  Setting
-HANGGRAPH_PURE=1 forces the pure twin without trying the build.
-``BACKEND`` names the backend in use and ``BACKEND_REASON`` why: the shared
-object loaded, HANGGRAPH_PURE=1, or the error that kept the compiled kernel
-out.  Both backends implement the same signatures and are equivalence-tested
-against each other.
+The backend is chosen once, at import.  The compiled kernel (``_ckernel``, C
+built on first import) is used when it loads; it sends graphs too large for
+its machine-word bitmasks to the pure-Python twin (``_pykernel``) itself.  When
+the compiled kernel cannot be built or loaded, everything goes to the pure
+twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
+twin without trying the build.  ``BACKEND`` names the backend in use and
+``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
+error that kept the compiled kernel out.  The ten kernel names here are the
+selected module's own functions; both modules implement the same signatures
+and are equivalence-tested against each other.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Sequence
 
-from . import _pykernel as _py
 from ._pykernel import (  # re-exported contract constants
     F_BLOCK_GRAPH,
     F_CONNECTED,
@@ -55,68 +54,11 @@ def _load_compiled():
 _c, BACKEND_REASON = _load_compiled()
 BACKEND = "compiled" if _c is not None else "pure"
 
-_MAXN = 64
-_MAX_CLASSIFY_N = 11  # C(11,2) = 55 edge bits fit a 64-bit subset index
-
-
-def apsp(masks: Sequence[int]) -> list[int]:
-    if _c is not None and len(masks) <= _MAXN:
-        return _c.apsp(masks)
-    return _py.apsp(masks)
-
-
-def is_connected_masks(masks: Sequence[int]) -> bool:
-    if _c is not None and len(masks) <= _MAXN:
-        return _c.is_connected_masks(masks)
-    return _py.is_connected_masks(masks)
-
-
-def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
-    if _c is not None and n <= _MAXN:
-        return _c.hangable_subset(dist, n)
-    return _py.hangable_subset(dist, n)
-
-
-def hangable_triples(dist: Sequence[int], n: int,
-                     exhaustive: bool = False) -> tuple[bool, int, int, int, int]:
-    if _c is not None and n <= _MAXN:
-        return _c.hangable_triples(dist, n, exhaustive)
-    return _py.hangable_triples(dist, n, exhaustive)
-
-
-def is_block_graph_masks(masks: Sequence[int]) -> bool:
-    if _c is not None and len(masks) <= _MAXN:
-        return _c.is_block_graph_masks(masks)
-    return _py.is_block_graph_masks(masks)
-
-
-def smallest_power_k(dist: Sequence[int], n: int) -> int:
-    if _c is not None and n <= _MAXN:
-        return _c.smallest_power_k(dist, n)
-    return _py.smallest_power_k(dist, n)
-
-
-def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
-    if _c is not None and n <= _MAX_CLASSIFY_N:
-        return _c.classify_bits(n, bits)
-    return _py.classify_bits(n, bits)
-
-
-def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
-                  masks_h: Sequence[int]) -> int:
-    if _c is not None and len(masks_g) * (1 + len(masks_h)) <= _MAXN:
-        return _c.corona_verify(masks_g, dist_g, masks_h)
-    return _py.corona_verify(masks_g, dist_g, masks_h)
-
-
-def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
-                     masks_h: Sequence[int], dist_h: Sequence[int]) -> int:
-    if _c is not None and len(masks_g) * len(masks_h) <= _MAXN:
-        return _c.cartesian_verify(masks_g, dist_g, masks_h, dist_h)
-    return _py.cartesian_verify(masks_g, dist_g, masks_h, dist_h)
-
-
-def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
-    if _c is not None and len(masks_g) + len(masks_h) <= _MAXN:
-        return _c.join_verify(masks_g, masks_h)
-    return _py.join_verify(masks_g, masks_h)
+if _c is not None:
+    from ._ckernel import (apsp, cartesian_verify, classify_bits, corona_verify,
+                           hangable_subset, hangable_triples, is_block_graph_masks,
+                           is_connected_masks, join_verify, smallest_power_k)
+else:
+    from ._pykernel import (apsp, cartesian_verify, classify_bits, corona_verify,
+                            hangable_subset, hangable_triples, is_block_graph_masks,
+                            is_connected_masks, join_verify, smallest_power_k)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import kernels
-from .graph import DisconnectedGraphError, Graph, GraphInputError
+from .graph import Graph, GraphInputError, disconnected_error
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,6 @@ def _require_nonempty(g: Graph) -> None:
         raise GraphInputError("metric operations need at least one vertex")
 
 
-def _disconnected_error(g: Graph, source: int, unreached: int) -> DisconnectedGraphError:
-    return DisconnectedGraphError(
-        f"graph is not connected: vertex {unreached} is unreachable from {source}",
-        unreached=unreached)
-
-
 def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     """Hop distances from ``source`` to every vertex.  Plain queue BFS."""
     _require_nonempty(g)
@@ -85,18 +79,24 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
                 queue.append(v)
     for v, d in enumerate(dist):
         if d < 0:
-            raise _disconnected_error(g, source, v)
+            raise disconnected_error(v, source)
     return tuple(dist)
+
+
+def _connected_apsp(g: Graph) -> list[int]:
+    """Flat kernel distance matrix of a nonempty connected graph."""
+    _require_nonempty(g)
+    flat = kernels.apsp(g.neighbor_masks())
+    for v in range(g.n):
+        if flat[v] < 0:
+            raise disconnected_error(v)
+    return flat
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Full distance matrix via the kernel backend."""
-    _require_nonempty(g)
-    flat = kernels.apsp(g.neighbor_masks())
+    flat = _connected_apsp(g)
     n = g.n
-    for v in range(n):
-        if flat[v] < 0:
-            raise _disconnected_error(g, 0, v)
     rows = tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n))
     return DistanceMatrix(n, rows)
 
@@ -130,12 +130,7 @@ def check_hangable(g: Graph, include_triple: bool = False) -> HangabilityReport:
     (v, u) with u in P(v) but outside P(G); with ``include_triple`` a
     farthest-of-farthest witness triple is attached as well.
     """
-    _require_nonempty(g)
-    masks = g.neighbor_masks()
-    flat = kernels.apsp(masks)
-    for v in range(g.n):
-        if flat[v] < 0:
-            raise _disconnected_error(g, 0, v)
+    flat = _connected_apsp(g)
     ok, v, u = kernels.hangable_subset(flat, g.n)
     if ok:
         return HangabilityReport(True)
@@ -153,11 +148,7 @@ def check_hangable_triples(g: Graph, exhaustive: bool = False) -> HangabilityRep
     violation; the reported witness is the same either way (the scan order is
     lexicographic), so the flag only exists to exercise the full scan.
     """
-    _require_nonempty(g)
-    flat = kernels.apsp(g.neighbor_masks())
-    for v in range(g.n):
-        if flat[v] < 0:
-            raise _disconnected_error(g, 0, v)
+    flat = _connected_apsp(g)
     ok, v, u, w, _ = kernels.hangable_triples(flat, g.n, exhaustive)
     if ok:
         return HangabilityReport(True)

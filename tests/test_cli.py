@@ -297,6 +297,12 @@ def test_subgraph_search_budget_exit_4(capsys):
     assert code == 4
 
 
+def test_budget_only_on_subgraph_search(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "grid:2x2", "--budget", "5"])
+    assert exc.value.code == 2
+
+
 def test_determinism_analyze(fig_g_file, capsys):
     _, out1 = run(capsys, "analyze", fig_g_file, "--format", "structured")
     _, out2 = run(capsys, "analyze", fig_g_file, "--format", "structured")

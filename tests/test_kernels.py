@@ -38,6 +38,7 @@ from hanggraph.corpus import (
     pair_count,
     random_connected_graph,
 )
+from hanggraph.generators import cycle, path
 
 try:
     from hanggraph import _ckernel as ck
@@ -175,23 +176,41 @@ def test_backends_agree_product_verifiers():
 
 
 @compiled
-def test_compiled_rejects_oversized():
-    with pytest.raises(ValueError):
-        ck.apsp([0] * 65)
+def test_compiled_answers_oversized_like_pure():
+    # past the word width the compiled module hands the call to the pure twin
+    masks = path(65).neighbor_masks()
+    dist = pyk.apsp(masks)
+    assert ck.apsp(masks) == dist
+    assert ck.hangable_subset(dist, 65) == pyk.hangable_subset(dist, 65)
+    assert ck.hangable_triples(dist, 65, True) == pyk.hangable_triples(dist, 65, True)
+    rng = random.Random(5)
+    for _ in range(5):
+        bits = rng.getrandbits(pair_count(12))
+        assert ck.classify_bits(12, bits) == pyk.classify_bits(12, bits)
+    mg = cycle(5).neighbor_masks()  # corona on 5 * (1 + 13) = 70 vertices
+    mh = rand_masks(rng, 13, 0.5)
+    dg = pyk.apsp(mg)
+    assert ck.corona_verify(mg, dg, mh) == pyk.corona_verify(mg, dg, mh)
 
 
-# --- the dispatching wrapper -----------------------------------------------------
+# --- the selected backend --------------------------------------------------------
+
+
+KERNEL_NAMES = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
+                "is_block_graph_masks", "smallest_power_k", "classify_bits",
+                "corona_verify", "cartesian_verify", "join_verify")
 
 
 def test_wrapper_backend_reported():
     assert kernels.BACKEND in ("pure", "compiled")
+    backend = ck if kernels.BACKEND == "compiled" else pyk
+    for name in KERNEL_NAMES:
+        assert getattr(kernels, name) is getattr(backend, name), name
 
 
 def test_wrapper_handles_large_graphs_via_pure():
-    # 70 vertices exceeds the compiled word width; the wrapper must route
-    # to the pure kernel transparently
-    from hanggraph.generators import path
-
+    # 70 vertices exceeds the compiled word width; the call must reach the
+    # pure kernel transparently
     g = path(70)
     flat = kernels.apsp(g.neighbor_masks())
     assert flat[69] == 69

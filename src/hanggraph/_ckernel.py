@@ -116,7 +116,7 @@ try:
     _block = _entry(_lib, "hg_block", c_int, _P, c_int)
     _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int)
     _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int)
-    _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int, c_int)
+    _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
     _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int)
     _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P)
@@ -169,14 +169,12 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     return (True, -1, -1) if r < 0 else (False, r >> 6, r & 63)
 
 
-def hangable_triples(dist: Sequence[int], n: int,
-                     exhaustive: bool = False) -> tuple[bool, int, int, int, int]:
+def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
+    """Mirror of the pure hangable_triples: the first violating triple or -1s."""
     if n > MAXN:
-        return _py.hangable_triples(dist, n, exhaustive)
-    r = _triples(_dist(dist, n), n, bool(exhaustive))
-    if r == 0:
-        return (True, -1, -1, -1, 0)
-    return (False, r >> 12 & 63, r >> 6 & 63, r & 63, r >> 18)
+        return _py.hangable_triples(dist, n)
+    r = _triples(_dist(dist, n), n)
+    return (True, -1, -1, -1) if r < 0 else (False, r >> 12, r >> 6 & 63, r & 63)
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:

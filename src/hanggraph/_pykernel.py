@@ -129,20 +129,15 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     return (True, -1, -1)
 
 
-def hangable_triples(dist: Sequence[int], n: int,
-                     exhaustive: bool = False) -> tuple[bool, int, int, int, int]:
+def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     """Farthest-of-farthest check on a connected distance matrix.
 
     A violation is a triple (v, u, w) with u farthest from v, w farthest from
-    u, and d(u, w) below the diameter.  Returns
-    (ok, v, u, w, violations) with the lexicographically first triple and, in
-    exhaustive mode, the total violation count (otherwise the scan stops at
-    the first hit and reports 1).
+    u, and d(u, w) below the diameter.  Returns (True, -1, -1, -1), or
+    (False, v, u, w) for the lexicographically first violating triple.
     """
     ecc = _eccentricities(dist, n)
     diam = max(ecc)
-    first = None
-    count = 0
     for v in range(n):
         base = v * n
         ev = ecc[v]
@@ -155,14 +150,8 @@ def hangable_triples(dist: Sequence[int], n: int,
             ubase = u * n
             for w in range(n):
                 if dist[ubase + w] == eu:
-                    count += 1
-                    if first is None:
-                        first = (v, u, w)
-                        if not exhaustive:
-                            return (False, v, u, w, count)
-    if first is None:
-        return (True, -1, -1, -1, 0)
-    return (False, first[0], first[1], first[2], count)
+                    return (False, v, u, w)
+    return (True, -1, -1, -1)
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:

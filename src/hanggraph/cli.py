@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from typing import Sequence
 
 from . import blocks as blocks_mod
@@ -165,64 +166,40 @@ def cmd_analyze(args) -> int:
 # --- product -----------------------------------------------------------------
 
 
-def _corona_oracle_lines(g: Graph, h: Graph, prod: Graph) -> tuple[list[str], bool]:
-    lines = []
-    failed = False
+# (output name, attribute on both the oracle and the product's profile); the
+# corona oracle has no eccentricities, so that statement is skipped for it
+_ORACLE_STATEMENTS = (("eccentricities", "eccentricity"), ("diameter", "diameter"),
+                      ("vertex_peripheries", "vertex_periphery"),
+                      ("periphery", "graph_periphery"))
+
+
+def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str], bool]:
+    """Each closed-form statement against BFS on the product: (lines, failed)."""
     try:
-        dist_g = metrics_mod.all_pairs_distances(g)
-        oracle = products_mod.corona_metric_oracle(g, h)
+        if kind == "corona":
+            dist_g = metrics_mod.all_pairs_distances(g)
+            oracle = products_mod.corona_metric_oracle(g, h, metrics_mod.metric_profile(g, dist_g))
+            distance = partial(products_mod.corona_distance_oracle, dist_g, h)
+        elif kind == "cartesian":
+            oracle = products_mod.cartesian_metric_oracle(g, h)
+            distance = oracle.distance
+        elif prod.n < 1:
+            raise GraphInputError("empty join")
     except (GraphInputError, DisconnectedGraphError) as exc:
-        return ([f"oracle corona: precondition not met: {exc}"], False)
-    truth = metrics_mod.metric_profile(prod)
-    dist_p = metrics_mod.all_pairs_distances(prod)
-    nc = prod.n
-    dist_ok = all(
-        products_mod.corona_distance_oracle(dist_g, h, p, q) == dist_p.dist(p, q)
-        for p in range(nc) for q in range(nc))
-    checks = [
-        ("distances", dist_ok),
-        ("diameter", oracle.diameter == truth.diameter),
-        ("vertex_peripheries", oracle.vertex_periphery == truth.vertex_periphery),
-        ("periphery", oracle.graph_periphery == truth.graph_periphery),
-    ]
-    for name, ok in checks:
-        lines.append(f"oracle corona {name}: {'PASS' if ok else 'FAIL'}")
-        failed |= not ok
-    return lines, failed
-
-
-def _cartesian_oracle_lines(g: Graph, h: Graph, prod: Graph) -> tuple[list[str], bool]:
-    lines = []
-    failed = False
-    try:
-        oracle = products_mod.cartesian_metric_oracle(g, h)
-    except (GraphInputError, DisconnectedGraphError) as exc:
-        return ([f"oracle cartesian: precondition not met: {exc}"], False)
-    truth = metrics_mod.metric_profile(prod)
-    dist_p = metrics_mod.all_pairs_distances(prod)
-    np_ = prod.n
-    dist_ok = all(oracle.distance(p, q) == dist_p.dist(p, q)
-                  for p in range(np_) for q in range(np_))
-    checks = [
-        ("distances", dist_ok),
-        ("eccentricities", oracle.eccentricity == truth.eccentricity),
-        ("diameter", oracle.diameter == truth.diameter),
-        ("vertex_peripheries", oracle.vertex_periphery == truth.vertex_periphery),
-        ("periphery", oracle.graph_periphery == truth.graph_periphery),
-    ]
-    for name, ok in checks:
-        lines.append(f"oracle cartesian {name}: {'PASS' if ok else 'FAIL'}")
-        failed |= not ok
-    return lines, failed
-
-
-def _join_oracle_lines(g: Graph, h: Graph, prod: Graph) -> tuple[list[str], bool]:
-    predicted = products_mod.join_hangability_predicate(g, h)
-    if prod.n < 1:
-        return (["oracle join: precondition not met: empty join"], False)
-    actual = metrics_mod.check_hangable(prod).hangable
-    ok = predicted == actual
-    return ([f"oracle join hangability: {'PASS' if ok else 'FAIL'}"], not ok)
+        return [f"oracle {kind}: precondition not met: {exc}"], False
+    dist_p = metrics_mod.all_pairs_distances(prod)  # the product's one APSP
+    truth = metrics_mod.metric_profile(prod, dist_p)
+    if kind == "join":
+        hangable = all(p <= truth.graph_periphery for p in truth.vertex_periphery)
+        checks = [("hangability", hangable == products_mod.join_hangability_predicate(g, h))]
+    else:
+        n = prod.n
+        checks = [("distances", all(distance(p, q) == dist_p.dist(p, q)
+                                    for p in range(n) for q in range(n)))]
+        checks += [(name, getattr(oracle, attr) == getattr(truth, attr))
+                   for name, attr in _ORACLE_STATEMENTS if hasattr(oracle, attr)]
+    lines = [f"oracle {kind} {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
+    return lines, not all(ok for _, ok in checks)
 
 
 def cmd_product(args) -> int:
@@ -243,10 +220,7 @@ def cmd_product(args) -> int:
         _emit(args, "vertex map:\n" + vmap.to_text(g, h))
     if not args.oracle_check:
         return EXIT_OK
-    oracle_fn = {"corona": _corona_oracle_lines,
-                 "cartesian": _cartesian_oracle_lines,
-                 "join": _join_oracle_lines}[args.kind]
-    lines, failed = oracle_fn(g, h, prod)
+    lines, failed = _oracle_lines(args.kind, g, h, prod)
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_NEGATIVE if failed else EXIT_OK
 

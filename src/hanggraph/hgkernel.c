@@ -112,29 +112,22 @@ static int subset_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam
     return 1;
 }
 
-/* violation count (0 means hangable); the first triple goes to w[0..2] */
-static int64_t triples_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam,
-                            int exhaustive, int *w)
+/* 1 when hangable, else 0 with the first violating triple in w[0..2] */
+static int triples_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int *w)
 {
-    int64_t count = 0;
-    w[0] = -1;
     for (int v = 0; v < n; v++)
         for (int u = 0; u < n; u++) {
             if (dist[v * n + u] != ecc[v] || ecc[u] == diam)
                 continue;
             for (int x = 0; x < n; x++)
                 if (dist[u * n + x] == ecc[u]) {
-                    count++;
-                    if (w[0] < 0) {
-                        w[0] = v;
-                        w[1] = u;
-                        w[2] = x;
-                        if (!exhaustive)
-                            return count;
-                    }
+                    w[0] = v;
+                    w[1] = u;
+                    w[2] = x;
+                    return 0;
                 }
         }
-    return count;
+    return 1;
 }
 
 /* iterative lowpoint DFS; connected input assumed.  Every block must be a
@@ -247,17 +240,16 @@ int64_t hg_subset(const int8_t *dist, int n)
     return (int64_t)wv << 6 | wu;
 }
 
-/* 0 when hangable, else count << 18 | v << 12 | u << 6 | w for the first
- * violating triple (v, u, w); the count stops at 1 unless exhaustive */
-int64_t hg_triples(const int8_t *dist, int n, int exhaustive)
+/* -1 when hangable, else the first violating triple (v, u, w) as
+ * v << 12 | u << 6 | w */
+int64_t hg_triples(const int8_t *dist, int n)
 {
     int8_t ecc[MAXN];
     int w[3];
     ecc_core(dist, n, ecc);
-    int64_t count = triples_core(dist, n, ecc, max8(ecc, n), exhaustive, w);
-    if (!count)
-        return 0;
-    return count << 18 | (int64_t)w[0] << 12 | w[1] << 6 | w[2];
+    if (triples_core(dist, n, ecc, max8(ecc, n), w))
+        return -1;
+    return (int64_t)w[0] << 12 | w[1] << 6 | w[2];
 }
 
 /* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24 */
@@ -287,7 +279,7 @@ int64_t hg_classify(int n, uint64_t bits)
     int64_t flags = F_CONNECTED;
     if (subset_core(dist, n, ecc, diam, &wv, &wu))
         flags |= F_HANGABLE;
-    if (triples_core(dist, n, ecc, diam, 0, w) == 0)
+    if (triples_core(dist, n, ecc, diam, w))
         flags |= F_HANGABLE_TRIPLES;
     if (radius == diam)
         flags |= F_SELF_CENTERED;
@@ -402,14 +394,9 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
             if (eccp[a * nh + b] != eccg[a] + ecch[b])
                 return VERIFY_ECCENTRICITY;
 
-    int diam = max8(eccg, ng) + max8(ecch, nh);
-    int reached = 0;
-    for (int p = 0; p < np; p++) {
-        if (eccp[p] > diam)
-            return VERIFY_DIAMETER;
-        reached |= eccp[p] == diam;
-    }
-    if (!reached)
+    int8_t diam_g = max8(eccg, ng), diam_h = max8(ecch, nh);
+    int diam = diam_g + diam_h;
+    if (max8(eccp, np) != diam)
         return VERIFY_DIAMETER;
 
     for (int a = 0; a < ng; a++)
@@ -430,7 +417,6 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                 return VERIFY_VERTEX_PERIPHERY;
         }
 
-    int8_t diam_g = max8(eccg, ng), diam_h = max8(ecch, nh);
     uint64_t expected = 0, actual = 0;
     for (int c = 0; c < ng; c++) {
         if (eccg[c] != diam_g)

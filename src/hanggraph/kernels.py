@@ -30,8 +30,6 @@ from ._pykernel import (  # re-exported contract constants
     VERIFY_HANGABLE,
     VERIFY_OK,
     VERIFY_VERTEX_PERIPHERY,
-    bits_from_masks,
-    masks_from_bits,
 )
 
 

@@ -136,20 +136,21 @@ def check_hangable(g: Graph, include_triple: bool = False) -> HangabilityReport:
         return HangabilityReport(True)
     triple = None
     if include_triple:
-        _, tv, tu, tw, _ = kernels.hangable_triples(flat, g.n)
+        _, tv, tu, tw = kernels.hangable_triples(flat, g.n)
         triple = (tv, tu, tw)
     return HangabilityReport(False, witness=(v, u), triple_witness=triple)
 
 
-def check_hangable_triples(g: Graph, exhaustive: bool = False) -> HangabilityReport:
+def check_hangable_triples(g: Graph) -> HangabilityReport:
     """Farthest-of-farthest decider; agrees with ``check_hangable`` always.
 
-    ``exhaustive`` scans all triples instead of stopping at the first
-    violation; the reported witness is the same either way (the scan order is
-    lexicographic), so the flag only exists to exercise the full scan.
+    When the graph is not hangable the triple witness is the lexicographically
+    first violating triple (v, u, w), and its pair (v, u) is the same witness
+    ``check_hangable`` reports: the first violating pair starts the first
+    violating triple.
     """
     flat = _connected_apsp(g)
-    ok, v, u, w, _ = kernels.hangable_triples(flat, g.n, exhaustive)
+    ok, v, u, w = kernels.hangable_triples(flat, g.n)
     if ok:
         return HangabilityReport(True)
     return HangabilityReport(False, witness=(v, u), triple_witness=(v, u, w))

@@ -37,20 +37,11 @@ class ProductVertexMap:
     h_n: int
     entries: tuple[tuple, ...]
 
-    def corona_base_id(self, v: int) -> int:
-        return v
-
     def corona_copy_id(self, v: int, x: int) -> int:
         return self.g_n + v * self.h_n + x
 
     def cartesian_id(self, a: int, b: int) -> int:
         return a * self.h_n + b
-
-    def join_g_id(self, v: int) -> int:
-        return v
-
-    def join_h_id(self, x: int) -> int:
-        return self.g_n + x
 
     def describe(self, i: int, g: Graph | None = None, h: Graph | None = None) -> str:
         def gl(v: int) -> str:
@@ -218,9 +209,7 @@ class CartesianMetrics:
                 + self._dist_h.dist(p % nh, q % nh))
 
 
-def cartesian_metric_oracle(g: Graph, h: Graph,
-                            g_profile: MetricProfile | None = None,
-                            h_profile: MetricProfile | None = None) -> CartesianMetrics:
+def cartesian_metric_oracle(g: Graph, h: Graph) -> CartesianMetrics:
     """Box-product metrics from factor metrics only: everything adds.
 
     distance((a,b),(c,d)) = d_g(a,c) + d_h(b,d); eccentricities and the
@@ -231,10 +220,8 @@ def cartesian_metric_oracle(g: Graph, h: Graph,
         raise GraphInputError("box product metric forms need nonempty factors")
     dist_g = all_pairs_distances(g)
     dist_h = all_pairs_distances(h)
-    if g_profile is None:
-        g_profile = metric_profile(g, dist_g)
-    if h_profile is None:
-        h_profile = metric_profile(h, dist_h)
+    g_profile = metric_profile(g, dist_g)
+    h_profile = metric_profile(h, dist_h)
     nh = h.n
     ecc = tuple(g_profile.eccentricity[a] + h_profile.eccentricity[b]
                 for a in range(g.n) for b in range(nh))

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hanggraph import kernels
 from hanggraph.cli import main
 
 FIG_G_TEXT = "5 6\n0 1\n0 3\n1 3\n1 2\n2 3\n2 4\n"
@@ -175,14 +176,78 @@ def test_product_join_with_oracle(capsys):
     assert "oracle join hangability: PASS" in out
 
 
-def test_product_corona_oracle_precondition(capsys):
-    # single-vertex base: construction fine, oracle explains instead of failing
-    code, out = run(
-        capsys, "product", "corona", "complete:1", "path:2", "--oracle-check"
-    )
+# the exact precondition lines of --oracle-check; the order in which the
+# preconditions are tested decides which message a doubly-bad pair gets
+PRECONDITION_GOLDENS = [
+    pytest.param("corona", "complete:1", "path:2",
+                 "oracle corona: precondition not met: corona metric forms need a base "
+                 "with at least 2 vertices", id="corona-K1-base"),
+    pytest.param("corona", "EMPTY", "path:2",
+                 "oracle corona: precondition not met: metric operations need at least "
+                 "one vertex", id="corona-empty-base"),
+    pytest.param("corona", "DISCONNECTED", "EMPTY",
+                 "oracle corona: precondition not met: graph is not connected: vertex 2 "
+                 "is unreachable from 0", id="corona-disconnected-base"),
+    pytest.param("corona", "path:3", "EMPTY",
+                 "oracle corona: precondition not met: corona metric forms need a "
+                 "nonempty copy factor", id="corona-empty-copy"),
+    pytest.param("cartesian", "path:3", "EMPTY",
+                 "oracle cartesian: precondition not met: box product metric forms need "
+                 "nonempty factors", id="cartesian-empty-factor"),
+    pytest.param("cartesian", "DISCONNECTED", "EMPTY",
+                 "oracle cartesian: precondition not met: box product metric forms need "
+                 "nonempty factors", id="cartesian-empty-before-disconnected"),
+    pytest.param("cartesian", "complete:1", "DISCONNECTED",
+                 "oracle cartesian: precondition not met: graph is not connected: vertex "
+                 "2 is unreachable from 0", id="cartesian-disconnected-factor"),
+    pytest.param("join", "EMPTY", "EMPTY",
+                 "oracle join: precondition not met: empty join", id="join-empty"),
+]
+
+
+@pytest.fixture
+def factor_files(tmp_path):
+    files = {"EMPTY": "0 0\n", "DISCONNECTED": "3 1\n0 1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return lambda arg: str(tmp_path / arg) if arg in files else arg
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("kind,g,h,line", PRECONDITION_GOLDENS)
+def test_product_oracle_precondition_goldens(capsys, factor_files, fmt, kind, g, h, line):
+    code, out = run(capsys, "product", kind, factor_files(g), factor_files(h),
+                    "--oracle-check", "--format", fmt)
     assert code == 0
-    assert "precondition not met" in out
-    assert "FAIL" not in out
+    assert [ln for ln in out.splitlines() if ln.startswith("oracle ")] == [line]
+
+
+def test_product_oracle_disconnected_join_exit_3(capsys, factor_files):
+    # a join with an empty side keeps the other side's components apart
+    code = main(["product", "join", factor_files("DISCONNECTED"), factor_files("EMPTY"),
+                 "--oracle-check"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "oracle" not in captured.out
+    assert captured.err == "error: graph is not connected: vertex 2 is unreachable from 0\n"
+
+
+@pytest.mark.parametrize("kind,g,h", [("corona", "path:3", "complete:2"),
+                                      ("cartesian", "path:3", "cycle:3"),
+                                      ("join", "complete:1", "path:4")])
+def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
+    sizes = []
+    apsp = kernels.apsp
+
+    def counting_apsp(masks):
+        sizes.append(len(masks))
+        return apsp(masks)
+
+    monkeypatch.setattr(kernels, "apsp", counting_apsp)
+    code, out = run(capsys, "product", kind, g, h, "--oracle-check", "--format", "graph6")
+    assert code == 0 and "FAIL" not in out
+    n = {"corona": 9, "cartesian": 9, "join": 5}[kind]
+    assert sizes.count(n) == 1, sizes
 
 
 def test_product_graph6_output(capsys):

@@ -142,13 +142,6 @@ def test_fig_h_witness_revalidates(fig_h):
     assert u not in prof.graph_periphery
 
 
-def test_fig_h_exhaustive_triples_same_witness(fig_h):
-    # the full scan must report the same first triple as the early-exit scan
-    rep = check_hangable_triples(fig_h, exhaustive=True)
-    assert not rep.hangable
-    assert rep.triple_witness == (1, 3, 0)
-
-
 def test_check_hangable_include_triple(fig_h):
     rep = check_hangable(fig_h, include_triple=True)
     assert rep.witness == (1, 3)
@@ -219,9 +212,11 @@ def test_checkers_agree(nb):
 
     if not is_connected(g):
         return
-    a = check_hangable(g).hangable
-    b = check_hangable_triples(g).hangable
-    assert a == b
+    a = check_hangable(g)
+    b = check_hangable_triples(g)
+    assert a.hangable == b.hangable
+    # the first violating pair starts the first violating triple
+    assert a.witness == b.witness
 
 
 @PROPERTY_SETTINGS

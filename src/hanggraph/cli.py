@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
     _reject_graph6(args, "analyze")
     g = load_graph(args.input, _label_arg(args))
     profile = metrics_mod.metric_profile(g)
-    report = metrics_mod.check_hangable(g, include_triple=True)
+    report = metrics_mod.check_hangable_triples(g)  # same pair as check_hangable
     if args.format == "structured":
         payload = {
             "n": g.n,
@@ -177,8 +177,8 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
     """Each closed-form statement against BFS on the product: (lines, failed)."""
     try:
         if kind == "corona":
-            dist_g = metrics_mod.all_pairs_distances(g)
-            oracle = products_mod.corona_metric_oracle(g, h, metrics_mod.metric_profile(g, dist_g))
+            dist_g = metrics_mod.all_pairs_distances(g)  # fails first on a bad base
+            oracle = products_mod.corona_metric_oracle(g, h)
             distance = partial(products_mod.corona_distance_oracle, dist_g, h)
         elif kind == "cartesian":
             oracle = products_mod.cartesian_metric_oracle(g, h)
@@ -187,7 +187,7 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
             raise GraphInputError("empty join")
     except (GraphInputError, DisconnectedGraphError) as exc:
         return [f"oracle {kind}: precondition not met: {exc}"], False
-    dist_p = metrics_mod.all_pairs_distances(prod)  # the product's one APSP
+    dist_p = metrics_mod.all_pairs_distances(prod)
     truth = metrics_mod.metric_profile(prod, dist_p)
     if kind == "join":
         hangable = all(p <= truth.graph_periphery for p in truth.vertex_periphery)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from . import _pykernel
-from .graph import Graph, _build
+from .graph import Graph, _build, is_connected
 
 
 def pair_count(n: int) -> int:
@@ -32,7 +31,7 @@ def iter_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Every labeled graph on n vertices, in edge-subset order."""
     for bits in range(1 << pair_count(n)):
         g = graph_from_bits(n, bits)
-        if connected_only and not _pykernel.is_connected_masks(g.neighbor_masks()):
+        if connected_only and not is_connected(g):
             continue
         yield g
 

@@ -1,10 +1,11 @@
 """Batch classification and brute-force search over small graphs.
 
-classify_graph fills one flat record per graph; classify_stream maps a
-graph6 stream to records in input order, turning bad lines into error records
-instead of dying.  search_hangable_subgraphs enumerates induced subgraphs of
-a host up to a subset budget.  smallest_hangable_power walks k = 1, 2, ...
-building each power explicitly; the kernels contain an independent shortcut
+classify_graph fills one flat record per graph from one kernel APSP of the
+graph and one of its complement; classify_stream maps a graph6 stream to
+records in input order, turning bad lines into error records instead of
+dying.  search_hangable_subgraphs enumerates induced subgraphs of a host up
+to a subset budget.  smallest_hangable_power walks k = 1, 2, ... building
+each power explicitly; the kernels contain an independent shortcut
 (ceil-divided distances) the tests hold it against.
 """
 
@@ -16,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from . import graph6 as g6
-from .blocks import is_block_graph, is_tree
+from .blocks import is_block_graph
 from .graph import Graph, GraphInputError, complement, induced_subgraph, is_connected, power
 from .metrics import check_hangable, metric_profile
 
@@ -25,10 +26,11 @@ from .metrics import check_hangable, metric_profile
 class Classification:
     """One record per graph; metric fields are None when undefined.
 
-    ``self_complementary`` is only computed for n <= 8 (permutation search)
+    ``self_complementary`` is only computed for n <= 8 (backtracking search)
     and ``complement_hangable`` only when the complement is connected; both
-    are None otherwise.  ``error`` is set on records for unparseable input
-    lines, ``note`` explains missing fields.
+    are None otherwise.  ``hangable`` is ``smallest_hangable_power == 1``.
+    ``error`` is set on records for unparseable input lines, ``note``
+    explains missing fields.
     """
     n: int | None = None
     m: int | None = None
@@ -56,51 +58,45 @@ SELF_COMPLEMENTARY_MAX_N = 8
 
 
 def is_self_complementary(g: Graph) -> bool | None:
-    """Permutation search for an isomorphism onto the complement.
+    """Backtracking search for an isomorphism onto the complement.
 
-    Returns None above SELF_COMPLEMENTARY_MAX_N vertices, where 'not
-    computed' beats minutes of factorial search.
+    Maps vertices 0..n-1 in order, each to an unused complement vertex of the
+    same degree whose adjacency to the vertices already mapped agrees.
+    Returns None above SELF_COMPLEMENTARY_MAX_N vertices (not computed).
     """
     n = g.n
     if n > SELF_COMPLEMENTARY_MAX_N:
         return None
     if n * (n - 1) // 2 != 2 * g.m:
         return False
-    co = complement(g)
-    deg_g = [g.degree(v) for v in range(n)]
-    deg_c = [co.degree(v) for v in range(n)]
-    if sorted(deg_g) != sorted(deg_c):
-        return False
     masks = g.neighbor_masks()
-    cmasks = co.neighbor_masks()
-    for perm in itertools.permutations(range(n)):
-        if any(deg_g[v] != deg_c[perm[v]] for v in range(n)):
-            continue
-        ok = True
-        for v in range(n):
-            image = 0
-            mv = masks[v]
-            while mv:
-                low = mv & -mv
-                image |= 1 << perm[low.bit_length() - 1]
-                mv ^= low
-            if image != cmasks[perm[v]]:
-                ok = False
-                break
-        if ok:
+    cmasks = [((1 << n) - 1) ^ (1 << v) ^ mv for v, mv in enumerate(masks)]
+    image = [0] * n
+
+    def extend(v: int, used: int) -> bool:
+        if v == n:
             return True
-    return False
+        mv = masks[v]
+        for w, cw in enumerate(cmasks):
+            if (not used & (1 << w) and cw.bit_count() == mv.bit_count()
+                    and all((mv >> u & 1) == (cw >> image[u] & 1) for u in range(v))):
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return extend(0, 0)
 
 
 def smallest_hangable_power(g: Graph) -> int:
     """Least k with the k-th power hangable; at most the diameter.
 
-    Builds each power graph outright and runs the decider on it.
+    Builds each power graph outright and runs the decider on it.  The power
+    at k = diameter <= n - 1 is complete, so the loop over k < n returns.
     """
     if check_hangable(g).hangable:  # connectivity errors surface here
         return 1
-    diam = metric_profile(g).diameter
-    for k in range(2, diam + 1):
+    for k in range(2, g.n):
         if check_hangable(power(g, k)).hangable:
             return k
     raise AssertionError("power at k = diameter is complete, hence hangable")
@@ -110,28 +106,28 @@ def classify_graph(g: Graph) -> Classification:
     n, m = g.n, g.m
     if n < 1:
         return Classification(n=n, m=m, connected=True, note="empty graph")
-    connected = is_connected(g)
     co = complement(g)
-    comp_hang = check_hangable(co).hangable if is_connected(co) and co.n >= 1 else None
+    comp_hang = check_hangable(co).hangable if is_connected(co) else None
     selfco = is_self_complementary(g)
-    if not connected:
+    if not is_connected(g):
         return Classification(
             n=n, m=m, connected=False,
             complement_hangable=comp_hang, self_complementary=selfco,
             note="disconnected: metric fields not computed")
     profile = metric_profile(g)
+    k = smallest_hangable_power(g)
     return Classification(
         n=n, m=m, connected=True,
-        tree=is_tree(g),
+        tree=m == n - 1,
         block_graph=is_block_graph(g),
         self_centered=profile.radius == profile.diameter,
-        hangable=check_hangable(g).hangable,
+        hangable=k == 1,
         diameter=profile.diameter,
         radius=profile.radius,
         periphery_size=len(profile.graph_periphery),
         complement_hangable=comp_hang,
         self_complementary=selfco,
-        smallest_hangable_power=smallest_hangable_power(g))
+        smallest_hangable_power=k)
 
 
 def classify_stream(lines: Iterable[str]) -> Iterator[Classification]:

@@ -13,7 +13,8 @@ farthest-of-farthest triples.
 All metric operations require a connected graph on at least one vertex.
 ``bfs_distances`` is a direct queue BFS over adjacency lists;
 ``all_pairs_distances`` goes through the kernel backend.  Row v of the matrix
-always equals ``bfs_distances(g, v)``.
+always equals ``bfs_distances(g, v)``.  The kernel runs once per graph: its
+flat matrix is kept on the graph and shared by the profile and both deciders.
 """
 
 from __future__ import annotations
@@ -84,9 +85,15 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
 
 
 def _connected_apsp(g: Graph) -> list[int]:
-    """Flat kernel distance matrix of a nonempty connected graph."""
+    """Flat kernel distance matrix of a nonempty connected graph.
+
+    Computed on first use and kept on the graph, like its neighbor masks.
+    """
     _require_nonempty(g)
-    flat = kernels.apsp(g.neighbor_masks())
+    flat = g.__dict__.get("_dist")
+    if flat is None:
+        flat = kernels.apsp(g.neighbor_masks())
+        object.__setattr__(g, "_dist", flat)
     for v in range(g.n):
         if flat[v] < 0:
             raise disconnected_error(v)
@@ -123,22 +130,17 @@ def is_self_centered(g: Graph) -> bool:
     return profile.radius == profile.diameter
 
 
-def check_hangable(g: Graph, include_triple: bool = False) -> HangabilityReport:
+def check_hangable(g: Graph) -> HangabilityReport:
     """Peripheral-containment decider.
 
     When the graph is not hangable the witness is the lexicographically first
-    (v, u) with u in P(v) but outside P(G); with ``include_triple`` a
-    farthest-of-farthest witness triple is attached as well.
+    (v, u) with u in P(v) but outside P(G).
     """
     flat = _connected_apsp(g)
     ok, v, u = kernels.hangable_subset(flat, g.n)
     if ok:
         return HangabilityReport(True)
-    triple = None
-    if include_triple:
-        _, tv, tu, tw = kernels.hangable_triples(flat, g.n)
-        triple = (tv, tu, tw)
-    return HangabilityReport(False, witness=(v, u), triple_witness=triple)
+    return HangabilityReport(False, witness=(v, u))
 
 
 def check_hangable_triples(g: Graph) -> HangabilityReport:

@@ -126,7 +126,6 @@ def test_random_block_graphs_recognized_and_hangable():
         g = random_block_graph(rng, max_vertices=30)
         assert is_block_graph(g)
         assert check_hangable(g).hangable
-        assert check_hangable(g, include_triple=False).hangable
 
 
 def test_long_path_no_recursion_limit():

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from hanggraph import kernels
 from hanggraph.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 FIG_G_TEXT = "5 6\n0 1\n0 3\n1 3\n1 2\n2 3\n2 4\n"
 FIG_H_TEXT = "4 5\n0 1\n0 3\n1 3\n1 2\n2 3\n"
@@ -232,10 +235,7 @@ def test_product_oracle_disconnected_join_exit_3(capsys, factor_files):
     assert captured.err == "error: graph is not connected: vertex 2 is unreachable from 0\n"
 
 
-@pytest.mark.parametrize("kind,g,h", [("corona", "path:3", "complete:2"),
-                                      ("cartesian", "path:3", "cycle:3"),
-                                      ("join", "complete:1", "path:4")])
-def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
+def count_apsp_calls(monkeypatch) -> list:
     sizes = []
     apsp = kernels.apsp
 
@@ -244,10 +244,26 @@ def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
         return apsp(masks)
 
     monkeypatch.setattr(kernels, "apsp", counting_apsp)
+    return sizes
+
+
+@pytest.mark.parametrize("kind,g,h", [("corona", "path:3", "complete:2"),
+                                      ("cartesian", "path:3", "cycle:3"),
+                                      ("join", "complete:1", "path:4")])
+def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
+    sizes = count_apsp_calls(monkeypatch)
     code, out = run(capsys, "product", kind, g, h, "--oracle-check", "--format", "graph6")
     assert code == 0 and "FAIL" not in out
     n = {"corona": 9, "cartesian": 9, "join": 5}[kind]
     assert sizes.count(n) == 1, sizes
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_one_apsp(monkeypatch, capsys, fmt):
+    sizes = count_apsp_calls(monkeypatch)
+    code, out = run(capsys, "analyze", "grid:3x4", "--format", fmt)
+    assert code == 0 and out
+    assert sizes == [12]
 
 
 def test_product_graph6_output(capsys):
@@ -318,6 +334,16 @@ def test_classify_stream(tmp_path, capsys):
     assert rows[0].startswith("# n\t")
     assert len(rows) == 4
     assert "error" in rows[3]
+
+
+@pytest.mark.parametrize("fmt,golden", [("text", "classify_golden.tsv"),
+                                         ("structured", "classify_golden.jsonl")])
+def test_classify_golden(capsys, fmt, golden):
+    # n = 0..9, disconnected graphs and complements, an n=8 self-complementary
+    # line, n=9 lines (self_complementary not computed) and a malformed line
+    code, out = run(capsys, "classify", str(DATA / "classify_corpus.g6"), "--format", fmt)
+    assert code == 0
+    assert out == (DATA / golden).read_text()
 
 
 def test_classify_structured_is_jsonl(tmp_path, capsys):

@@ -142,12 +142,6 @@ def test_fig_h_witness_revalidates(fig_h):
     assert u not in prof.graph_periphery
 
 
-def test_check_hangable_include_triple(fig_h):
-    rep = check_hangable(fig_h, include_triple=True)
-    assert rep.witness == (1, 3)
-    assert rep.triple_witness == (1, 3, 0)
-
-
 # --- small closed-form families ------------------------------------------------
 
 

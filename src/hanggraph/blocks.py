@@ -4,14 +4,16 @@ Iterative lowpoint DFS with an explicit edge stack, so path graphs with a
 hundred thousand vertices decompose without touching the recursion limit.
 Blocks partition the edge set; any two blocks share at most one vertex and a
 shared vertex is a cut vertex.  An isolated K_1 counts as one single-vertex
-block with no cut vertices.
+block with no cut vertices.  Block-graph recognition asks the kernel, which
+runs the same DFS over the neighbor masks and tests each block for a clique.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphInputError, disconnected_error, first_unreached
+from . import kernels
+from .graph import Graph, GraphInputError, require_connected
 
 
 @dataclass(frozen=True)
@@ -30,13 +32,15 @@ class BlockDecomposition:
         return "\n".join(lines) + "\n"
 
 
+def _require_connected(g: Graph, task: str) -> None:
+    if g.n < 1:
+        raise GraphInputError(f"{task} needs at least one vertex")
+    require_connected(g)
+
+
 def biconnected_components(g: Graph) -> BlockDecomposition:
     """Blocks and cut vertices of a connected graph."""
-    if g.n < 1:
-        raise GraphInputError("block decomposition needs at least one vertex")
-    missing = first_unreached(g)
-    if missing is not None:
-        raise disconnected_error(missing)
+    _require_connected(g, "block decomposition")
     if g.n == 1:
         return BlockDecomposition(((0,),), frozenset())
 
@@ -95,21 +99,11 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
 
 def is_block_graph(g: Graph) -> bool:
     """True iff every block of the (connected) graph induces a complete graph."""
-    decomp = biconnected_components(g)  # raises on empty or disconnected input
-    for blk in decomp.blocks:
-        for i, u in enumerate(blk):
-            nbrs = set(g.adj[u])
-            for v in blk[i + 1:]:
-                if v not in nbrs:
-                    return False
-    return True
+    _require_connected(g, "block decomposition")
+    return kernels.is_block_graph_masks(g.masks)
 
 
 def is_tree(g: Graph) -> bool:
     """True iff the (connected) graph is acyclic; K_1 is a tree."""
-    if g.n < 1:
-        raise GraphInputError("tree test needs at least one vertex")
-    missing = first_unreached(g)
-    if missing is not None:
-        raise disconnected_error(missing)
+    _require_connected(g, "tree test")
     return g.m == g.n - 1

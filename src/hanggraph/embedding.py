@@ -38,15 +38,14 @@ def hangable_embedding(h: Graph) -> EmbeddingResult:
 
     universal = universal_vertices(h)
     if not universal:
-        cone = Graph(1, ((),))
-        supergraph, _ = join(cone, h)
+        supergraph, _ = join(Graph(1, (0,)), h)
         return EmbeddingResult(supergraph, tuple(v + 1 for v in range(h.n)), "cone")
 
     # h is connected here: a universal vertex forces connectivity, and a
     # connected hangable h already took the identity branch.
     u_sorted = sorted(universal)
     rest = sorted(set(range(h.n)) - universal)
-    left = disjoint_union(Graph(1, ((),)), induced_subgraph(h, u_sorted))
+    left = disjoint_union(Graph(1, (0,)), induced_subgraph(h, u_sorted))
     right = induced_subgraph(h, rest)
     supergraph, _ = join(left, right)
     image = [0] * h.n

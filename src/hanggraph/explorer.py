@@ -69,8 +69,8 @@ def is_self_complementary(g: Graph) -> bool | None:
         return None
     if n * (n - 1) // 2 != 2 * g.m:
         return False
-    masks = g.neighbor_masks()
-    cmasks = [((1 << n) - 1) ^ (1 << v) ^ mv for v, mv in enumerate(masks)]
+    masks = g.masks
+    cmasks = complement(g).masks
     image = [0] * n
 
     def extend(v: int, used: int) -> bool:

@@ -9,55 +9,58 @@ from __future__ import annotations
 
 import re
 
-from .graph import Graph, GraphInputError, _build
+from .graph import Graph, GraphInputError
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphInputError(f"path needs at least 1 vertex, got {n}")
-    return _build(n, [(i, i + 1) for i in range(n - 1)])
+    full = (1 << n) - 1  # clips bit n off the last vertex; v = 0 shifts its bit v - 1 away
+    return Graph(n, tuple((1 << v >> 1 | 1 << v + 1) & full for v in range(n)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphInputError(f"cycle needs at least 3 vertices, got {n}")
-    return _build(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, tuple(1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise GraphInputError(f"complete graph needs at least 1 vertex, got {n}")
-    return _build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return Graph(n, tuple(full ^ 1 << v for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise GraphInputError(f"complete bipartite parts must be at least 1, got {a}, {b}")
-    return _build(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    left = (1 << a) - 1
+    right = ((1 << b) - 1) << a
+    return Graph(a + b, (right,) * a + (left,) * b)
 
 
 def hypercube(d: int) -> Graph:
     """d-cube on 2^d vertices; u ~ v iff they differ in exactly one bit."""
     if d < 1:
         raise GraphInputError(f"hypercube dimension must be at least 1, got {d}")
-    n = 1 << d
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(d) if u < u ^ (1 << b)]
-    return _build(n, edges)
+    return Graph(1 << d, tuple(sum(1 << (u ^ 1 << b) for b in range(d))
+                               for u in range(1 << d)))
 
 
 def grid(rows: int, cols: int) -> Graph:
     """rows x cols grid, vertex (i, j) at id i*cols + j, labels "(i,j)"."""
     if rows < 1 or cols < 1:
         raise GraphInputError(f"grid sides must be at least 1, got {rows}, {cols}")
-    edges = []
+    masks = []
     for i in range(rows):
         for j in range(cols):
-            if j + 1 < cols:
-                edges.append((i * cols + j, i * cols + j + 1))
-            if i + 1 < rows:
-                edges.append((i * cols + j, (i + 1) * cols + j))
-    labels = [f"({i},{j})" for i in range(rows) for j in range(cols)]
-    return _build(rows * cols, edges, labels)
+            v = i * cols + j
+            near = ((j > 0, v - 1), (j + 1 < cols, v + 1),
+                    (i > 0, v - cols), (i + 1 < rows, v + cols))
+            masks.append(sum(1 << u for inside, u in near if inside))
+    labels = tuple(f"({i},{j})" for i in range(rows) for j in range(cols))
+    return Graph(rows * cols, tuple(masks), labels)
 
 
 FAMILIES = {

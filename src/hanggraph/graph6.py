@@ -9,9 +9,12 @@ but rejects wrong lengths and out-of-range bytes, reporting the byte offset.
 
 from __future__ import annotations
 
-from .graph import Graph, GraphInputError, _build
+from .graph import Graph, GraphInputError
 
 PREFIX = ">>graph6<<"
+# a data byte and its six bits as text, most significant first
+_BITS = {chr(c + 63): format(c, "06b") for c in range(64)}
+_BYTE = {bits: ch for ch, bits in _BITS.items()}
 
 
 class Graph6Error(GraphInputError):
@@ -47,8 +50,6 @@ def _decode_size(s: str) -> tuple[int, int]:
             val = (val << 6) | c
         return val
 
-    if not s:
-        raise Graph6Error("empty graph6 string", offset=0)
     first = ord(s[0]) - 63
     if first < 0 or first > 63:
         raise Graph6Error(f"invalid leading byte {s[0]!r}", offset=0)
@@ -61,24 +62,17 @@ def _decode_size(s: str) -> tuple[int, int]:
 
 def to_graph6(g: Graph) -> str:
     """Canonical graph6 line for g (labels are not representable and drop)."""
-    head = _encode_size(g.n)
-    masks = g.neighbor_masks()
-    chunks = []
-    acc = 0
-    nbits = 0
+    # bit t of ``bits`` is the t-th bit of the stream: column j of the upper
+    # triangle is bits 0..j-1 of masks[j], row 0 first
+    bits = 0
+    start = 0
     for j in range(1, g.n):
-        col = masks[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        chunks.append(chr(acc + 63))
-    return head + "".join(chunks)
+        bits |= (g.masks[j] & ((1 << j) - 1)) << start
+        start += j
+    width = -(-start // 6) * 6
+    stream = bin(bits | 1 << width)[:2:-1]  # the sentinel bit keeps the zero padding
+    return _encode_size(g.n) + "".join([_BYTE[stream[p:p + 6]]
+                                        for p in range(0, width, 6)])
 
 
 def from_graph6(line: str) -> Graph:
@@ -98,18 +92,20 @@ def from_graph6(line: str) -> Graph:
             offset=consumed + len(body))
     if len(body) > need:
         raise Graph6Error("trailing data after bit field", offset=consumed + need)
-    bits = 0
-    for pos, ch in enumerate(body):
-        c = ord(ch) - 63
-        if not 0 <= c <= 63:
-            raise Graph6Error(f"invalid byte {ch!r} in bit field", offset=consumed + pos)
-        bits = (bits << 6) | c
-    bits >>= 6 * need - nbits  # drop padding
-    edges = []
-    k = nbits - 1
+    try:
+        stream = "".join([_BITS[ch] for ch in body])
+    except KeyError as exc:
+        pos = body.index(exc.args[0])
+        raise Graph6Error(f"invalid byte {body[pos]!r} in bit field",
+                          offset=consumed + pos) from None
+    bits = int(stream[::-1] or "0", 2)  # as in to_graph6; padding bits are never read
+    masks = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if k >= 0 and (bits >> k) & 1:
-                edges.append((i, j))
-            k -= 1
-    return _build(n, edges)
+        col = bits & ((1 << j) - 1)  # bit i set iff ij is an edge, i < j
+        bits >>= j
+        masks[j] = col
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return Graph(n, tuple(masks))

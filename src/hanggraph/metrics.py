@@ -85,19 +85,9 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
 
 
 def _connected_apsp(g: Graph) -> list[int]:
-    """Flat kernel distance matrix of a nonempty connected graph.
-
-    Computed on first use and kept on the graph, like its neighbor masks.
-    """
+    """Flat kernel distance matrix of a nonempty connected graph."""
     _require_nonempty(g)
-    flat = g.__dict__.get("_dist")
-    if flat is None:
-        flat = kernels.apsp(g.neighbor_masks())
-        object.__setattr__(g, "_dist", flat)
-    for v in range(g.n):
-        if flat[v] < 0:
-            raise disconnected_error(v)
-    return flat
+    return g.distances
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:

@@ -4,13 +4,16 @@
 hangable.  ``fig_h`` is the same graph without e; it is the smallest kind of
 counterexample the checkers must catch (two vertices of full degree).  Their
 metric values are pinned in test_metrics as computed goldens.
+``block_graph_reference`` is the block-graph test by decomposition plus a
+clique check per block, independent of the kernel that ``is_block_graph``
+asks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from hanggraph import Graph, from_edge_list, kernels
+from hanggraph import Graph, biconnected_components, from_edge_list, kernels
 
 FIG_G_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3), (2, 4)]
 FIG_H_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3)]
@@ -30,6 +33,22 @@ def fig_g() -> Graph:
 @pytest.fixture
 def fig_h() -> Graph:
     return from_edge_list(4, FIG_H_EDGES, labels=ABCDE[:4])
+
+
+def _block_graph_by_decomposition(g: Graph) -> bool:
+    """True iff every block of the (connected) graph induces a complete graph."""
+    for blk in biconnected_components(g).blocks:  # raises on empty or disconnected input
+        for i, u in enumerate(blk):
+            nbrs = set(g.adj[u])
+            for v in blk[i + 1:]:
+                if v not in nbrs:
+                    return False
+    return True
+
+
+@pytest.fixture
+def block_graph_reference():
+    return _block_graph_by_decomposition
 
 
 def connected_graphs(max_n: int, min_n: int = 1):

@@ -8,13 +8,14 @@ import pytest
 
 from hanggraph import (
     DisconnectedGraphError,
+    GraphInputError,
     biconnected_components,
     check_hangable,
     from_edge_list,
     is_block_graph,
     is_tree,
 )
-from hanggraph.corpus import iter_graphs, random_block_graph, random_tree
+from hanggraph.corpus import iter_graphs, random_block_graph, random_connected_graph, random_tree
 from hanggraph.generators import complete, cycle, path
 
 
@@ -69,8 +70,10 @@ def test_bridge_rich_graph():
 def test_decomposition_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         biconnected_components(from_edge_list(4, [(0, 1), (2, 3)]))
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DisconnectedGraphError, match="vertex 1 is unreachable from 0"):
         is_block_graph(from_edge_list(2, []))
+    with pytest.raises(GraphInputError, match="block decomposition needs at least one vertex"):
+        is_block_graph(from_edge_list(0, []))
     with pytest.raises(DisconnectedGraphError):
         is_tree(from_edge_list(2, []))
 
@@ -118,6 +121,22 @@ def test_cycle_not_block_graph_beyond_triangle():
 def test_fig_g_not_block_graph(fig_g):
     # its big block is K_4 minus an edge
     assert not is_block_graph(fig_g)
+
+
+def test_block_graph_matches_decomposition_reference(block_graph_reference):
+    # exhaustive to n = 5, then random graphs on both sides of 64 vertices
+    graphs = list(iter_graphs(5, connected_only=True))
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 90)
+        graphs.append(random_block_graph(rng, max_vertices=n))
+        graphs.append(random_connected_graph(n, rng, extra_edge_prob=rng.choice([0.0, 0.01, 0.1])))
+    hits = 0
+    for g in graphs:
+        expected = block_graph_reference(g)
+        assert is_block_graph(g) == expected
+        hits += expected
+    assert 0 < hits < len(graphs)
 
 
 def test_random_block_graphs_recognized_and_hangable():

@@ -266,6 +266,19 @@ def test_analyze_one_apsp(monkeypatch, capsys, fmt):
     assert sizes == [12]
 
 
+def test_analyze_disconnected_exits_before_apsp(monkeypatch, tmp_path, capsys):
+    # 3000 isolated vertices: the connectivity check must come before an
+    # APSP that would allocate 9M distances
+    sizes = count_apsp_calls(monkeypatch)
+    p = tmp_path / "isolated.txt"
+    p.write_text("3000 0\n")
+    code = main(["analyze", str(p)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: graph is not connected: vertex 1 is unreachable from 0\n"
+    assert sizes == []
+
+
 def test_product_graph6_output(capsys):
     code, out = run(capsys, "product", "join", "complete:1", "path:2",
                     "--format", "graph6")
@@ -314,6 +327,23 @@ def test_blocks_text(fig_g_file, capsys):
     assert "cut_vertices: c" in out
     assert "block_graph: no" in out
     assert "tree: no" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_blocks_one_decomposition(monkeypatch, capsys, fmt):
+    from hanggraph import blocks
+
+    calls = []
+    decompose = blocks.biconnected_components
+
+    def counting(g):
+        calls.append(g.n)
+        return decompose(g)
+
+    monkeypatch.setattr(blocks, "biconnected_components", counting)
+    code, out = run(capsys, "blocks", "grid:3x4", "--format", fmt)
+    assert code == 0 and "block_graph" in out
+    assert calls == [12]
 
 
 def test_blocks_structured(capsys):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 
 from hanggraph import (
@@ -11,13 +14,14 @@ from hanggraph import (
     complement,
     disjoint_union,
     from_edge_list,
+    from_graph6,
     induced_subgraph,
     is_connected,
     parse_edge_list,
     power,
     to_edge_list,
+    to_graph6,
 )
-from hanggraph.graph import first_unreached
 
 
 def test_from_edge_list_basic(fig_g):
@@ -95,10 +99,12 @@ def test_is_connected():
     assert not is_connected(from_edge_list(2, []))
 
 
-def test_first_unreached_names_a_vertex():
+def test_unreached_names_the_smallest_unreachable_vertex():
     g = from_edge_list(4, [(0, 1), (2, 3)])
-    v = first_unreached(g)
-    assert v in (2, 3)
+    assert g.unreached == 2
+    assert from_edge_list(3, [(0, 2)]).unreached == 1
+    assert from_edge_list(3, [(0, 1), (1, 2)]).unreached is None
+    assert from_edge_list(0, []).unreached is None
 
 
 def test_complement():
@@ -197,3 +203,142 @@ def test_parse_edge_list_missing_header():
 def test_graph_is_hashable_and_frozen(fig_g):
     with pytest.raises(Exception):
         fig_g.n = 7  # type: ignore[misc]
+
+
+# --- differential test: bitmask Graph against the tuple-based construction ------
+#
+# The references below are the sorted-neighbor-tuple implementations the
+# bitmask representation replaced.  A reference graph is (n, adj, labels).
+
+
+def ref_build(n, edges, labels=None):
+    sets = [set() for _ in range(n)]
+    for u, v in edges:
+        sets[u].add(v)
+        sets[v].add(u)
+    return n, tuple(tuple(sorted(s)) for s in sets), tuple(labels) if labels is not None else None
+
+
+def ref_edges(ref):
+    n, adj, _ = ref
+    return [(u, v) for u in range(n) for v in adj[u] if u < v]
+
+
+def ref_complement(ref):
+    n, adj, labels = ref
+    return n, tuple(tuple(v for v in range(n) if v != u and v not in set(adj[u]))
+                    for u in range(n)), labels
+
+
+def ref_power(ref, k):
+    n, adj, labels = ref
+    edges = []
+    for s in range(n):
+        depth = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            if depth[u] == k:
+                continue
+            for v in adj[u]:
+                if v not in depth:
+                    depth[v] = depth[u] + 1
+                    queue.append(v)
+        edges += [(s, v) for v in depth if s < v]
+    return ref_build(n, edges, labels)
+
+
+def ref_induced(ref, vertices):
+    _, _, labels = ref
+    keep = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in ref_edges(ref) if u in index and v in index]
+    return ref_build(len(keep), edges,
+                     tuple(labels[v] for v in keep) if labels is not None else None)
+
+
+def ref_disjoint_union(a, b):
+    na, nb = a[0], b[0]
+    edges = ref_edges(a) + [(u + na, v + na) for u, v in ref_edges(b)]
+    labels = None
+    if a[2] is not None and b[2] is not None and len(set(a[2] + b[2])) == na + nb:
+        labels = a[2] + b[2]
+    return ref_build(na + nb, edges, labels)
+
+
+def ref_to_graph6(ref):
+    n, adj, _ = ref  # n < 2**18
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = "".join("1" if i in adj[j] else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[p:p + 6], 2) + 63) for p in range(0, len(bits), 6))
+
+
+def ref_from_graph6(line):
+    if line[0] == "~":  # n < 2**18
+        n = sum(ord(ch) - 63 << s for ch, s in zip(line[1:4], (12, 6, 0)))
+        body = line[4:]
+    else:
+        n, body = ord(line[0]) - 63, line[1:]
+    nbits = n * (n - 1) // 2
+    bits = 0
+    for ch in body:
+        bits = (bits << 6) | (ord(ch) - 63)
+    bits >>= 6 * len(body) - nbits
+    edges = []
+    k = nbits - 1
+    for j in range(1, n):
+        for i in range(j):
+            if (bits >> k) & 1:
+                edges.append((i, j))
+            k -= 1
+    return ref_build(n, edges)
+
+
+def assert_same(g, ref):
+    n, adj, labels = ref
+    assert (g.n, g.adj, g.labels) == (n, adj, labels)
+    assert list(g.edges()) == ref_edges(ref)
+    assert g.m == len(ref_edges(ref))
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    fresh = from_edge_list(n, ref_edges(ref), labels)  # no cached views yet
+    assert g == fresh and hash(g) == hash(fresh)
+
+
+def differential_cases():
+    rng = random.Random(20240)
+    for n in range(6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if bits >> k & 1]
+            labels = tuple("abcde"[:n]) if bits % 3 == 0 else None
+            yield n, edges, labels, rng
+    for n in range(60, 131, 10):
+        for connected in (True, False):
+            p = rng.choice([0.03, 0.1, 0.4])
+            edges = [(rng.randrange(i), i) for i in range(1, n)] if connected else []
+            edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+            rng.shuffle(edges)
+            labels = tuple(f"v{i}" for i in range(n)) if connected else None
+            yield n, edges, labels, rng
+
+
+def test_bitmask_graph_matches_tuple_reference():
+    for n, edges, labels, rng in differential_cases():
+        g, ref = from_edge_list(n, edges, labels), ref_build(n, edges, labels)
+        assert_same(g, ref)
+        assert_same(complement(g), ref_complement(ref))
+        line = to_graph6(g)
+        assert line == ref_to_graph6(ref)
+        assert_same(from_graph6(line), ref_from_graph6(line))
+        if n >= 1 and is_connected(g):
+            for k in (1, 2, 3):
+                assert_same(power(g, k), ref_power(ref, k))
+        for _ in range(2):
+            sub = rng.sample(range(n), rng.randint(0, n))
+            assert_same(induced_subgraph(g, sub), ref_induced(ref, sub))
+        other_n = rng.randint(0, 4)
+        other_edges = [(0, v) for v in range(1, other_n)]
+        other_labels = tuple(f"w{i}" for i in range(other_n)) if labels else None
+        assert_same(disjoint_union(g, from_edge_list(other_n, other_edges, other_labels)),
+                    ref_disjoint_union(ref, ref_build(other_n, other_edges, other_labels)))

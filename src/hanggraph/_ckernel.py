@@ -10,8 +10,13 @@ serialize on a lock of the cache directory, and the compiler writes a
 temporary file that is renamed into place, so no process ever loads a
 partly written object.
 
-Every public function takes and returns the same plain Python values as the
-pure backend.  Graphs past the 64-vertex word width (11 vertices for
+Every public function takes the same arguments as its pure twin and
+returns the same answer.  One conversion marshals data into C: masks become
+an ``array('Q')`` and distance matrices an ``array('b')`` (signed int8, -1
+for unreachable), whose bytes C reads.  ``apsp`` returns the ``array('b')``
+that C filled, so its matrix goes back into a decider as a byte copy; any
+other flat int sequence (the pure twin's list, a test's tuple) takes the
+same conversion.  Graphs past the 64-vertex word width (11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
 are sent to the pure twin here, so any input gets the pure answer.
 Importing raises ``ImportError`` with the reason when the kernel cannot be
@@ -22,7 +27,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import struct
 import zlib
 from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
@@ -107,7 +111,7 @@ def _entry(lib: ctypes.CDLL, name: str, restype, *argtypes):
     return fn
 
 
-_P = c_void_p  # inputs go in as packed bytes, the output as an array's address
+_P = c_void_p  # inputs go in as bytes, the output as an array's address
 try:
     LIBRARY = build()
     _lib = ctypes.CDLL(LIBRARY)
@@ -125,35 +129,25 @@ except (OSError, AttributeError) as exc:
     # unreadable source, no cache directory, failed exec or load, missing symbol
     raise ImportError(f"compiled kernel unavailable: {exc}") from exc
 
-# struct packs a list into a C array faster than array() or ctypes arrays do
-_mask_packers: dict[int, struct.Struct] = {}
-_dist_packers: dict[int, struct.Struct] = {}
-
 
 def _masks(masks: Sequence[int]) -> bytes:
-    n = len(masks)
-    packer = _mask_packers.get(n)
-    if packer is None:
-        packer = _mask_packers[n] = struct.Struct(f"{n}Q")
-    return packer.pack(*masks)
+    return array("Q", masks).tobytes()
 
 
 def _dist(dist: Sequence[int], n: int) -> bytes:
     if n < 0 or n * n != len(dist):
         raise ValueError("distance matrix length does not match n")
-    packer = _dist_packers.get(n)
-    if packer is None:
-        packer = _dist_packers[n] = struct.Struct(f"{n * n}b")
-    return packer.pack(*dist)
+    return array("b", dist).tobytes()
 
 
-def apsp(masks: Sequence[int]) -> list[int]:
+def apsp(masks: Sequence[int]) -> Sequence[int]:
+    """The pure twin's list past MAXN vertices, else the ``array('b')`` C fills."""
     n = len(masks)
     if n > MAXN:
         return _py.apsp(masks)
     dist = array("b", bytes(n * n))  # named, so it outlives the call that fills it
     _apsp(_masks(masks), n, dist.buffer_info()[0])
-    return dist.tolist()
+    return dist
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:

@@ -2,9 +2,12 @@
 
 A graph on n vertices is a sequence ``masks`` of n ints where bit j of
 ``masks[i]`` is set iff ij is an edge.  Distance matrices are flat row-major
-lists of length n*n with -1 for unreachable pairs.  Everything here is plain
-data in and plain data out so the compiled twin in ``_ckernel`` can mirror the
-signatures exactly; ``kernels`` picks one of the two at import.
+sequences of length n*n with -1 for unreachable pairs: ``apsp`` returns a
+list, and every function taking a matrix reads any int sequence, the
+compiled twin's ``array('b')`` included.  The compiled twin in ``_ckernel``
+mirrors the signatures exactly; ``kernels`` picks one of the two at import.
+The pure ``apsp`` keeps lists: it serves every graph past 64 vertices, and
+past 128 a distance can exceed a signed byte.
 
 Python ints double as unbounded bitsets, so this backend has no vertex limit;
 ``_ckernel`` hands it the graphs too large for its word-size masks.
@@ -47,18 +50,6 @@ def masks_from_bits(n: int, bits: int) -> list[int]:
                 masks[j] |= 1 << i
             k += 1
     return masks
-
-
-def bits_from_masks(masks: Sequence[int]) -> int:
-    n = len(masks)
-    bits = 0
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (masks[i] >> j) & 1:
-                bits |= 1 << k
-            k += 1
-    return bits
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:

@@ -188,12 +188,12 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
             raise GraphInputError("empty join")
     except (GraphInputError, DisconnectedGraphError) as exc:
         return [f"oracle {kind}: precondition not met: {exc}"], False
-    dist_p = metrics_mod.all_pairs_distances(prod)
-    truth = metrics_mod.metric_profile(prod, dist_p)
     if kind == "join":
-        hangable = all(p <= truth.graph_periphery for p in truth.vertex_periphery)
+        hangable = metrics_mod.check_hangable(prod).hangable
         checks = [("hangability", hangable == products_mod.join_hangability_predicate(g, h))]
     else:
+        dist_p = metrics_mod.all_pairs_distances(prod)
+        truth = metrics_mod.metric_profile(prod, dist_p)
         n = prod.n
         checks = [("distances", all(distance(p, q) == dist_p.dist(p, q)
                                     for p in range(n) for q in range(n)))]

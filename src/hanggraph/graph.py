@@ -70,9 +70,11 @@ class Graph:
         return (missing & -missing).bit_length() - 1 if missing else None
 
     @cached_property
-    def distances(self) -> list[int]:
-        """Flat row-major distance matrix; raises before the kernel allocates
-        n^2 entries if the graph is disconnected."""
+    def distances(self) -> Sequence[int]:
+        """Flat row-major distance matrix, as the kernel returns it: the
+        compiled kernel's ``array('b')`` up to 64 vertices, else the pure
+        kernel's list.  Raises before the kernel allocates n^2 entries if the
+        graph is disconnected."""
         require_connected(self)
         return kernels.apsp(self.masks)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import kernels
 from .graph import Graph, GraphInputError, disconnected_error
@@ -84,7 +85,7 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def _connected_apsp(g: Graph) -> list[int]:
+def _connected_apsp(g: Graph) -> Sequence[int]:
     """Flat kernel distance matrix of a nonempty connected graph."""
     _require_nonempty(g)
     return g.distances

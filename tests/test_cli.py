@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -448,3 +452,47 @@ def test_multiline_graph6_file_rejected(tmp_path):
     p = tmp_path / "two.g6"
     p.write_text("Bw\nCh\n")
     assert main(["analyze", str(p)]) == 2
+
+
+# Under the pure backend every distance matrix is a list; under the compiled
+# one it is an array of bytes up to 64 vertices.  Run the CLI in a child
+# forced onto the pure backend, one main() per argv in a single interpreter.
+PURE_CHILD = """
+import contextlib, io, json, sys
+from hanggraph import kernels
+from hanggraph.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"backend": kernels.BACKEND, "runs": runs}))
+"""
+
+
+def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
+    goldens = {"text": "classify_golden.tsv", "structured": "classify_golden.jsonl"}
+    classify = [["classify", str(DATA / "classify_corpus.g6"), "--format", fmt]
+                for fmt in goldens]
+    others = [["analyze", fig_g_file, "--labels", "a,b,c,d,e"],
+              ["analyze", fig_h_file, "--labels", "a,b,c,d", "--format", "structured"],
+              ["product", "corona", "path:3", "complete:2", "--oracle-check"],
+              ["product", "cartesian", "path:3", "cycle:3", "--oracle-check"],
+              ["product", "join", "complete:1", "path:4", "--oracle-check"]]
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ, HANGGRAPH_PURE="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", PURE_CHILD, json.dumps(classify + others)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child["backend"] == "pure"
+    for (code, out), fmt in zip(child["runs"], goldens):
+        assert code == 0
+        assert out == (DATA / goldens[fmt]).read_text()
+    for argv, pure in zip(others, child["runs"][len(classify):]):
+        assert pure == list(run(capsys, *argv)), argv
+    assert elapsed < 3.0, f"pure-backend CLI runs took {elapsed:.2f} s"

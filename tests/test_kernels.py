@@ -52,6 +52,19 @@ FIG_H_MASKS = [0b1010, 0b1101, 0b1010, 0b0111]
 FIG_H_DIST = [0, 1, 2, 1, 1, 0, 1, 1, 2, 1, 0, 1, 1, 1, 1, 0]
 
 
+def bits_from_masks(masks):
+    """Inverse of ``masks_from_bits``: the edge-subset index of ``masks``."""
+    n = len(masks)
+    bits = 0
+    k = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (masks[i] >> j) & 1:
+                bits |= 1 << k
+            k += 1
+    return bits
+
+
 def all_bits(n):
     return range(1 << pair_count(n))
 
@@ -110,7 +123,7 @@ def test_masks_round_trip():
     for n in range(6):
         for bits in all_bits(n):
             masks = pyk.masks_from_bits(n, bits)
-            assert pyk.bits_from_masks(masks) == bits
+            assert bits_from_masks(masks) == bits
 
 
 def test_classify_bits_flags_consistent():
@@ -149,15 +162,18 @@ def test_backends_agree_random_shapes():
         masks = rand_masks(rng, n, rng.choice([0.2, 0.5, 0.8]))
         assert pyk.is_connected_masks(masks) == ck.is_connected_masks(masks)
         da, db = pyk.apsp(masks), ck.apsp(masks)
-        assert da == db
+        assert da == list(db)
         if not pyk.is_connected_masks(masks):
             continue
         subset, triples = pyk.hangable_subset(da, n), pyk.hangable_triples(da, n)
-        assert subset == ck.hangable_subset(db, n)
-        assert triples == ck.hangable_triples(db, n)
+        kmin = pyk.smallest_power_k(da, n)
+        # the compiled kernels take their own array and the pure list alike
+        for dist in (db, da):
+            assert ck.hangable_subset(dist, n) == subset
+            assert ck.hangable_triples(dist, n) == triples
+            assert ck.smallest_power_k(dist, n) == kmin
         high_witnesses += max(triples[1:]) > 15
         assert pyk.is_block_graph_masks(masks) == ck.is_block_graph_masks(masks)
-        assert pyk.smallest_power_k(da, n) == ck.smallest_power_k(db, n)
     assert high_witnesses > 0
 
 
@@ -168,14 +184,32 @@ def test_backends_agree_product_verifiers():
         ng, nh = rng.randint(2, 5), rng.randint(1, 4)
         mg = random_connected_graph(ng, rng).neighbor_masks()
         mh = rand_masks(rng, nh, rng.choice([0.0, 0.5, 1.0]))
-        dg = pyk.apsp(mg)
-        assert pyk.corona_verify(mg, dg, mh) == ck.corona_verify(mg, dg, mh)
         mh2 = random_connected_graph(rng.randint(1, 5), rng).neighbor_masks()
-        dh2 = pyk.apsp(mh2)
-        assert pyk.cartesian_verify(mg, dg, mh2, dh2) == ck.cartesian_verify(
-            mg, dg, mh2, dh2
-        )
+        dg, dh2 = pyk.apsp(mg), pyk.apsp(mh2)
+        corona = pyk.corona_verify(mg, dg, mh)
+        cartesian = pyk.cartesian_verify(mg, dg, mh2, dh2)
+        # the compiled verifiers take their own arrays and the pure lists alike
+        for dist_g, dist_h in ((ck.apsp(mg), ck.apsp(mh2)), (dg, dh2)):
+            assert ck.corona_verify(mg, dist_g, mh) == corona
+            assert ck.cartesian_verify(mg, dist_g, mh2, dist_h) == cartesian
         assert pyk.join_verify(mg, mh) == ck.join_verify(mg, mh)
+
+
+@compiled
+def test_compiled_rejects_mismatched_distance_length():
+    # the length check guards C against reading past the matrix it is given
+    mg, mh = FIG_H_MASKS, [0b10, 0b01]
+    for dist, n in ((FIG_H_DIST[:-1], 4), (FIG_H_DIST, 3), (FIG_H_DIST + [0], 4),
+                    ([], -1), (FIG_H_DIST, -4)):
+        with pytest.raises(ValueError):
+            ck.hangable_subset(dist, n)
+        with pytest.raises(ValueError):
+            ck.hangable_triples(dist, n)
+        with pytest.raises(ValueError):
+            ck.smallest_power_k(dist, n)
+    for dist in (FIG_H_DIST[:-1], FIG_H_DIST + [0], []):
+        with pytest.raises(ValueError):
+            ck.corona_verify(mg, dist, mh)
 
 
 @compiled

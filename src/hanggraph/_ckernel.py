@@ -18,7 +18,10 @@ that C filled, so its matrix goes back into a decider as a byte copy; any
 other flat int sequence (the pure twin's list, a test's tuple) takes the
 same conversion.  Graphs past the 64-vertex word width (11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
-are sent to the pure twin here, so any input gets the pure answer.
+are sent to the pure twin here, so any input gets the pure answer.  Like the
+pure twin, every call that decides something about a graph with no vertices
+(a distance matrix of ``n`` = 0, ``classify_bits(0, ...)``, an empty join)
+raises ``ValueError`` before C sees it.
 Importing raises ``ImportError`` with the reason when the kernel cannot be
 built or loaded.
 """
@@ -135,8 +138,8 @@ def _masks(masks: Sequence[int]) -> bytes:
 
 
 def _dist(dist: Sequence[int], n: int) -> bytes:
-    if n < 0 or n * n != len(dist):
-        raise ValueError("distance matrix length does not match n")
+    if n < 1 or n * n != len(dist):
+        raise ValueError("distance matrix needs n >= 1 and n * n entries")
     return array("b", dist).tobytes()
 
 
@@ -187,8 +190,8 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     """Mirror of the pure classify_bits; n is capped so bits fit a word."""
     if n > MAX_CLASSIFY_N:
         return _py.classify_bits(n, bits)
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    if n < 1:
+        raise ValueError("classify_bits needs at least one vertex")
     r = _classify(n, bits)
     if r == 0:
         return (0, -1, -1, -1)
@@ -219,4 +222,6 @@ def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     ng, nh = len(masks_g), len(masks_h)
     if ng + nh > MAXN:
         return _py.join_verify(masks_g, masks_h)
+    if ng + nh < 1:
+        raise ValueError("join_verify needs at least one vertex")
     return _join(_masks(masks_g), ng, _masks(masks_h), nh)

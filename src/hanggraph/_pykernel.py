@@ -10,12 +10,16 @@ The pure ``apsp`` keeps lists: it serves every graph past 64 vertices, and
 past 128 a distance can exceed a signed byte.
 
 Python ints double as unbounded bitsets, so this backend has no vertex limit;
-``_ckernel`` hands it the graphs too large for its word-size masks.
+``_ckernel`` hands it the graphs too large for its word-size masks.  The
+deciders, kmin, ``classify_bits`` and the verifiers need at least one vertex
+and raise ``ValueError`` (an empty ``max``) on a graph with none, as the
+compiled twin does.  ``biconnected_blocks`` has no compiled twin; it serves
+``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 # classify_bits flag bits
 F_CONNECTED = 1
@@ -145,57 +149,75 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     return (True, -1, -1, -1)
 
 
-def is_block_graph_masks(masks: Sequence[int]) -> bool:
-    """True iff every biconnected block is a clique.  Requires connected input."""
+def biconnected_blocks(masks: Sequence[int]) -> Iterator[tuple[set[int], int]]:
+    """Biconnected blocks of vertex 0's component, each as it closes.
+
+    Iterative lowpoint DFS with an explicit edge stack (Hopcroft & Tarjan,
+    CACM 16(6), 1973), so paths of a hundred thousand vertices never touch
+    the recursion limit.  Yields (vertex set, number of edges) per block; an
+    edgeless vertex 0 closes none.  The DFS walks neighbor lists built once
+    from the masks, which beats peeling mask bits on wide sparse masks.
+    """
     n = len(masks)
-    if n <= 2:
-        return True
+    if not n:
+        return
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, mask in enumerate(masks):
+        higher = mask >> u + 1
+        while higher:
+            lowbit = higher & -higher
+            v = u + lowbit.bit_length()
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+            higher ^= lowbit
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
-    rem = list(masks)
-    estack: list[tuple[int, int]] = []
-    stack = [0]
-    disc[0] = low[0] = 0
+    nexti = [0] * n  # per-vertex cursor into nbrs
+    disc[0] = 0
     timer = 1
+    estack: list[int] = []  # the edges, each as two entries: tail, head
+    stack = [0]
     while stack:
         v = stack[-1]
-        if rem[v]:
-            lowbit = rem[v] & -rem[v]
-            rem[v] ^= lowbit
-            w = lowbit.bit_length() - 1
+        i = nexti[v]
+        if i < len(nbrs[v]):
+            w = nbrs[v][i]
+            nexti[v] = i + 1
             if disc[w] == -1:
-                parent[w] = v
                 disc[w] = low[w] = timer
                 timer += 1
-                estack.append((v, w))
+                estack += (v, w)
                 stack.append(w)
-            elif w != parent[v] and disc[w] < disc[v]:
-                estack.append((v, w))
+            elif disc[w] < disc[v] and w != stack[-2]:  # back edge; stack[-2] is v's parent
+                estack += (v, w)
                 if disc[w] < low[v]:
                     low[v] = disc[w]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                bmask = 0
-                while True:
-                    a, b = estack.pop()
-                    bmask |= (1 << a) | (1 << b)
-                    if (a, b) == (u, v):
-                        break
-                mm = bmask
-                while mm:
-                    lb = mm & -mm
-                    mm ^= lb
-                    x = lb.bit_length() - 1
-                    if masks[x] & bmask != bmask ^ (1 << x):
-                        return False
-    return True
+            continue
+        stack.pop()
+        if not stack:
+            break
+        u = stack[-1]
+        if low[v] < low[u]:
+            low[u] = low[v]
+        if low[v] >= disc[u]:
+            members: set[int] = set()
+            edges = 0
+            while True:
+                b = estack.pop()
+                a = estack.pop()
+                members.add(a)
+                members.add(b)
+                edges += 1
+                if a == u and b == v:
+                    break
+            yield members, edges
+
+
+def is_block_graph_masks(masks: Sequence[int]) -> bool:
+    """True iff every biconnected block is a clique: a block on k vertices
+    has k(k-1)/2 edges.  Requires connected input."""
+    return all(2 * edges == len(members) * (len(members) - 1)
+               for members, edges in biconnected_blocks(masks))
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:

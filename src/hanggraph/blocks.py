@@ -1,18 +1,23 @@
 """Biconnected blocks, cut vertices, and block-graph recognition.
 
-Iterative lowpoint DFS with an explicit edge stack, so path graphs with a
-hundred thousand vertices decompose without touching the recursion limit.
-Blocks partition the edge set; any two blocks share at most one vertex and a
-shared vertex is a cut vertex.  An isolated K_1 counts as one single-vertex
-block with no cut vertices.  Block-graph recognition asks the kernel, which
-runs the same DFS over the neighbor masks and tests each block for a clique.
+The blocks come from the pure kernel's lowpoint DFS (``biconnected_blocks``),
+which is iterative, so path graphs with a hundred thousand vertices
+decompose without touching the recursion limit.  Blocks partition the edge
+set; any two blocks share at most one vertex, and the cut vertices are
+exactly the vertices in two or more blocks.  An isolated K_1 counts as one
+single-vertex block with no cut vertices.  Block-graph recognition asks the
+selected kernel, which runs the same DFS (in C up to 64 vertices) and tests
+each block for a clique.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from . import kernels
+from ._pykernel import biconnected_blocks
 from .graph import Graph, GraphInputError, require_connected
 
 
@@ -43,58 +48,10 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
     _require_connected(g, "block decomposition")
     if g.n == 1:
         return BlockDecomposition(((0,),), frozenset())
-
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    nexti = [0] * g.n  # per-vertex adjacency cursor
-    estack: list[tuple[int, int]] = []
-    blocks: list[tuple[int, ...]] = []
-    cuts: set[int] = set()
-    root_children = 0
-
-    stack = [0]
-    disc[0] = low[0] = 0
-    timer = 1
-    while stack:
-        v = stack[-1]
-        if nexti[v] < len(g.adj[v]):
-            w = g.adj[v][nexti[v]]
-            nexti[v] += 1
-            if disc[w] == -1:
-                parent[w] = v
-                disc[w] = low[w] = timer
-                timer += 1
-                estack.append((v, w))
-                stack.append(w)
-                if v == 0:
-                    root_children += 1
-            elif w != parent[v] and disc[w] < disc[v]:
-                estack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1]
-            if low[v] < low[u]:
-                low[u] = low[v]
-            if low[v] >= disc[u]:
-                members: set[int] = set()
-                while True:
-                    a, b = estack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (u, v):
-                        break
-                blocks.append(tuple(sorted(members)))
-                if u != 0:
-                    cuts.add(u)
-    if root_children > 1:
-        cuts.add(0)
-    blocks.sort()
-    return BlockDecomposition(tuple(blocks), frozenset(cuts))
+    blocks = sorted(tuple(sorted(members)) for members, _ in biconnected_blocks(g.masks))
+    blocks_at = Counter(chain.from_iterable(blocks))
+    return BlockDecomposition(tuple(blocks),
+                              frozenset(v for v, k in blocks_at.items() if k > 1))
 
 
 def is_block_graph(g: Graph) -> bool:

@@ -27,6 +27,7 @@ from . import embedding as embedding_mod
 from . import explorer as explorer_mod
 from . import generators
 from . import graph6 as g6
+from . import kernels
 from . import metrics as metrics_mod
 from . import products as products_mod
 from .graph import (DisconnectedGraphError, Graph, GraphInputError,
@@ -179,7 +180,8 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
     try:
         if kind == "corona":
             dist_g = metrics_mod.all_pairs_distances(g)  # fails first on a bad base
-            oracle = products_mod.corona_metric_oracle(g, h)
+            g_profile = metrics_mod.metric_profile(g, dist_g)
+            oracle = products_mod.corona_metric_oracle(g, h, g_profile)
             distance = partial(products_mod.corona_distance_oracle, dist_g, h)
         elif kind == "cartesian":
             oracle = products_mod.cartesian_metric_oracle(g, h)
@@ -251,7 +253,7 @@ def cmd_power(args) -> int:
     g = load_graph(args.input, _label_arg(args))
     if args.smallest:
         _reject_graph6(args, "power --smallest")
-        k = explorer_mod.smallest_hangable_power(g)
+        k = kernels.smallest_power_k(metrics_mod.connected_apsp(g), g.n)
         if args.format == "structured":
             _json(args, {"k": k})
         else:

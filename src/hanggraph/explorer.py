@@ -1,12 +1,13 @@
 """Batch classification and brute-force search over small graphs.
 
 classify_graph fills one flat record per graph from one kernel APSP of the
-graph and one of its complement; classify_stream maps a graph6 stream to
-records in input order, turning bad lines into error records instead of
-dying.  search_hangable_subgraphs enumerates induced subgraphs of a host up
-to a subset budget.  smallest_hangable_power walks k = 1, 2, ... building
-each power explicitly; the kernels contain an independent shortcut
-(ceil-divided distances) the tests hold it against.
+graph and one of its complement; its smallest hangable power comes from the
+kernel's ceil(d/k) transform of that one matrix.  classify_stream maps a
+graph6 stream to records in input order, turning bad lines into error
+records instead of dying.  search_hangable_subgraphs enumerates induced
+subgraphs of a host up to a subset budget.  smallest_hangable_power walks
+k = 1, 2, ... building each power explicitly: it is the independent route
+the tests hold the kernel's transform against.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from . import graph6 as g6
+from . import kernels
 from .blocks import is_block_graph
 from .graph import Graph, GraphInputError, complement, induced_subgraph, is_connected, power
 from .metrics import check_hangable, metric_profile
@@ -28,7 +30,9 @@ class Classification:
 
     ``self_complementary`` is only computed for n <= 8 (backtracking search)
     and ``complement_hangable`` only when the complement is connected; both
-    are None otherwise.  ``hangable`` is ``smallest_hangable_power == 1``.
+    are None otherwise.  ``smallest_hangable_power`` is the kernel's
+    ``smallest_power_k`` (the ceil(d/k) transform of the graph's distances),
+    and ``hangable`` is ``smallest_hangable_power == 1``.
     ``error`` is set on records for unparseable input lines, ``note``
     explains missing fields.
     """
@@ -115,7 +119,7 @@ def classify_graph(g: Graph) -> Classification:
             complement_hangable=comp_hang, self_complementary=selfco,
             note="disconnected: metric fields not computed")
     profile = metric_profile(g)
-    k = smallest_hangable_power(g)
+    k = kernels.smallest_power_k(g.distances, g.n)
     return Classification(
         n=n, m=m, connected=True,
         tree=m == n - 1,

@@ -56,7 +56,7 @@ class Graph:
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuples, for the queue BFS and the block DFS."""
+        """Sorted neighbor tuples, for the queue BFS."""
         return tuple(tuple(_bits(mask)) for mask in self.masks)
 
     @cached_property
@@ -92,10 +92,6 @@ class Graph:
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
-
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency as bitmasks (bit j of entry i set iff ij is an edge)."""
-        return self.masks
 
 
 def _build(n: int, edges: Iterable[tuple[int, int]],

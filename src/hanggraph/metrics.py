@@ -85,15 +85,16 @@ def bfs_distances(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(dist)
 
 
-def _connected_apsp(g: Graph) -> Sequence[int]:
-    """Flat kernel distance matrix of a nonempty connected graph."""
+def connected_apsp(g: Graph) -> Sequence[int]:
+    """Flat kernel distance matrix of a nonempty connected graph; raises the
+    empty-graph ``GraphInputError`` or the disconnected-graph error first."""
     _require_nonempty(g)
     return g.distances
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Full distance matrix via the kernel backend."""
-    flat = _connected_apsp(g)
+    flat = connected_apsp(g)
     n = g.n
     rows = tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n))
     return DistanceMatrix(n, rows)
@@ -127,7 +128,7 @@ def check_hangable(g: Graph) -> HangabilityReport:
     When the graph is not hangable the witness is the lexicographically first
     (v, u) with u in P(v) but outside P(G).
     """
-    flat = _connected_apsp(g)
+    flat = connected_apsp(g)
     ok, v, u = kernels.hangable_subset(flat, g.n)
     if ok:
         return HangabilityReport(True)
@@ -142,7 +143,7 @@ def check_hangable_triples(g: Graph) -> HangabilityReport:
     ``check_hangable`` reports: the first violating pair starts the first
     violating triple.
     """
-    flat = _connected_apsp(g)
+    flat = connected_apsp(g)
     ok, v, u, w = kernels.hangable_triples(flat, g.n)
     if ok:
         return HangabilityReport(True)

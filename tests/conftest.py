@@ -4,16 +4,16 @@
 hangable.  ``fig_h`` is the same graph without e; it is the smallest kind of
 counterexample the checkers must catch (two vertices of full degree).  Their
 metric values are pinned in test_metrics as computed goldens.
-``block_graph_reference`` is the block-graph test by decomposition plus a
-clique check per block, independent of the kernel that ``is_block_graph``
-asks.
+``block_graph_reference`` recognizes block graphs without any DFS, so it
+shares no code with the lowpoint DFS behind ``biconnected_components`` and
+``is_block_graph`` (pure or compiled) that it checks.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from hanggraph import Graph, biconnected_components, from_edge_list, kernels
+from hanggraph import Graph, from_edge_list, kernels
 
 FIG_G_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3), (2, 4)]
 FIG_H_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3)]
@@ -35,20 +35,33 @@ def fig_h() -> Graph:
     return from_edge_list(4, FIG_H_EDGES, labels=ABCDE[:4])
 
 
-def _block_graph_by_decomposition(g: Graph) -> bool:
-    """True iff every block of the (connected) graph induces a complete graph."""
-    for blk in biconnected_components(g).blocks:  # raises on empty or disconnected input
-        for i, u in enumerate(blk):
-            nbrs = set(g.adj[u])
-            for v in blk[i + 1:]:
-                if v not in nbrs:
-                    return False
+def _block_graph_by_chordality(g: Graph) -> bool:
+    """True iff the connected graph is chordal and diamond-free, which is
+    exactly when it is a block graph (Bandelt & Mulder, J. Combin. Theory B
+    41, 1986).  Chordality by simplicial elimination; diamond-freeness by
+    asking every edge's common neighborhood to be a clique."""
+    masks = g.masks
+
+    def members(s: int) -> list[int]:
+        return [v for v in range(g.n) if s >> v & 1]
+
+    def is_clique(s: int) -> bool:
+        return all(masks[v] & s == s ^ 1 << v for v in members(s))
+
+    if not all(is_clique(masks[u] & masks[v]) for u, v in g.edges()):
+        return False
+    left = (1 << g.n) - 1
+    while left:
+        simplicial = [v for v in members(left) if is_clique(masks[v] & left)]
+        if not simplicial:
+            return False
+        left ^= 1 << simplicial[0]
     return True
 
 
 @pytest.fixture
 def block_graph_reference():
-    return _block_graph_by_decomposition
+    return _block_graph_by_chordality
 
 
 def connected_graphs(max_n: int, min_n: int = 1):

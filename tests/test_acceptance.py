@@ -164,7 +164,7 @@ def test_criterion_2_block_graphs_hangable(sweep, block_graph_reference):
             assert check_hangable_triples(g).hangable
 
     # the kernel must not under-report block graphs: cross-check a slice
-    # against the decomposition-plus-clique reference, which shares no code
+    # against the chordal-and-diamond-free reference, which shares no code
     # with the kernel's block test
     for bits in range(1 << pair_count(5)):
         g = graph_from_bits(5, bits)
@@ -237,7 +237,7 @@ def test_criterion_5_cartesian_oracles():
     factors = []
     for n in range(1, 6):
         for g in iter_graphs(n, connected_only=True):
-            factors.append((g.neighbor_masks(), kernels.apsp(g.neighbor_masks())))
+            factors.append((g.masks, kernels.apsp(g.masks)))
     pairs = 0
     for mg, dg in factors:
         for mh, dh in factors:
@@ -275,7 +275,7 @@ def test_criterion_6_join_rule():
     masks = []
     for n in range(1, 6):
         for g in iter_graphs(n):
-            masks.append(g.neighbor_masks())
+            masks.append(g.masks)
     pairs = 0
     for mg in masks:
         for mh in masks:

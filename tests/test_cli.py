@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hanggraph import kernels
+from hanggraph import kernels, metrics
 from hanggraph.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -262,6 +262,20 @@ def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
     assert sizes.count(n) == 1, sizes
 
 
+def test_product_corona_oracle_one_base_matrix(monkeypatch, capsys):
+    sizes = []
+    all_pairs = metrics.all_pairs_distances
+
+    def counting_all_pairs(g):
+        sizes.append(g.n)
+        return all_pairs(g)
+
+    monkeypatch.setattr(metrics, "all_pairs_distances", counting_all_pairs)
+    code, out = run(capsys, "product", "corona", "path:4", "complete:2", "--oracle-check")
+    assert code == 0 and "FAIL" not in out
+    assert sizes == [4, 12]  # the base once, shared with its profile; the product once
+
+
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 def test_analyze_one_apsp(monkeypatch, capsys, fmt):
     sizes = count_apsp_calls(monkeypatch)
@@ -317,6 +331,15 @@ def test_power_smallest_on_h(fig_h_file, capsys):
     code, out = run(capsys, "power", fig_h_file, "--smallest")
     assert code == 0
     assert out.strip() == "k = 2"
+
+
+@pytest.mark.parametrize("graph,code,err", [
+    ("EMPTY", 2, "error: metric operations need at least one vertex\n"),
+    ("DISCONNECTED", 3, "error: graph is not connected: vertex 2 is unreachable from 0\n")])
+def test_power_smallest_exit_codes(capsys, factor_files, graph, code, err):
+    assert main(["power", factor_files(graph), "--smallest"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
 
 
 def test_power_needs_k_or_flag(capsys):
@@ -459,7 +482,7 @@ def test_multiline_graph6_file_rejected(tmp_path):
 # forced onto the pure backend, one main() per argv in a single interpreter.
 PURE_CHILD = """
 import contextlib, io, json, sys
-from hanggraph import kernels
+from hanggraph import kernels, metrics
 from hanggraph.cli import main
 runs = []
 for argv in json.loads(sys.argv[1]):

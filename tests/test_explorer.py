@@ -13,7 +13,6 @@ from hanggraph import (
     complement,
     from_edge_list,
     kernels,
-    power,
     search_hangable_subgraphs,
     smallest_hangable_power,
     to_graph6,
@@ -101,8 +100,8 @@ def permutation_self_complementary(g):
     deg_c = [co.degree(v) for v in range(n)]
     if sorted(deg_g) != sorted(deg_c):
         return False
-    masks = g.neighbor_masks()
-    cmasks = co.neighbor_masks()
+    masks = g.masks
+    cmasks = co.masks
     for perm in itertools.permutations(range(n)):
         if any(deg_g[v] != deg_c[perm[v]] for v in range(n)):
             continue
@@ -172,11 +171,12 @@ def test_classify_graph_one_apsp_per_graph(monkeypatch, fig_h):
     monkeypatch.setattr(kernels, "apsp", counting_apsp)
     p4 = path(4)  # hangable, with a connected complement
     classify_graph(p4)
-    assert sorted(calls) == sorted([p4.neighbor_masks(), complement(p4).neighbor_masks()])
-    # not hangable, with a disconnected complement: the graph, then its square
+    assert sorted(calls) == sorted([p4.masks, complement(p4).masks])
+    # not hangable, with a disconnected complement: kmin comes from the
+    # graph's own matrix, so its square is never built or searched
     calls.clear()
     classify_graph(fig_h)
-    assert calls == [fig_h.neighbor_masks(), power(fig_h, 2).neighbor_masks()]
+    assert calls == [fig_h.masks]
 
 
 def test_self_complementary_needs_half_edges():

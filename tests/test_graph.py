@@ -87,7 +87,7 @@ def test_empty_graph_allowed():
 
 
 def test_neighbor_masks(fig_g):
-    masks = fig_g.neighbor_masks()
+    masks = fig_g.masks
     assert masks[0] == (1 << 1) | (1 << 3)
     assert masks[4] == 1 << 2
 

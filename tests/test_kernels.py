@@ -84,26 +84,26 @@ def rand_masks(rng, n, p):
 
 def test_pure_apsp_matches_bfs_rows():
     for g in iter_graphs(5, connected_only=True):
-        flat = pyk.apsp(g.neighbor_masks())
+        flat = pyk.apsp(g.masks)
         for v in range(g.n):
             assert tuple(flat[v * g.n : (v + 1) * g.n]) == bfs_distances(g, v)
 
 
 def test_pure_connectivity_matches_public():
     for g in iter_graphs(5):
-        assert pyk.is_connected_masks(g.neighbor_masks()) == is_connected(g)
+        assert pyk.is_connected_masks(g.masks) == is_connected(g)
 
 
 def test_pure_block_matches_public(block_graph_reference):
     for g in iter_graphs(5, connected_only=True):
-        assert pyk.is_block_graph_masks(g.neighbor_masks()) == block_graph_reference(g)
+        assert pyk.is_block_graph_masks(g.masks) == block_graph_reference(g)
 
 
 def test_pure_kmin_matches_explicit_powers():
     # the kernel shortcuts through the distance transform; the public route
     # builds each power graph and runs the checker on it
     for g in iter_graphs(5, connected_only=True):
-        flat = pyk.apsp(g.neighbor_masks())
+        flat = pyk.apsp(g.masks)
         k_kernel = pyk.smallest_power_k(flat, g.n)
         k_public = smallest_hangable_power(g)
         assert k_kernel == k_public
@@ -150,6 +150,9 @@ def test_backends_agree_exhaustive_n5():
     for n in range(1, 6):
         for bits in all_bits(n):
             assert pyk.classify_bits(n, bits) == ck.classify_bits(n, bits)
+    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
+        with pytest.raises(ValueError):
+            kernel.classify_bits(0, 0)
 
 
 @compiled
@@ -175,6 +178,11 @@ def test_backends_agree_random_shapes():
         high_witnesses += max(triples[1:]) > 15
         assert pyk.is_block_graph_masks(masks) == ck.is_block_graph_masks(masks)
     assert high_witnesses > 0
+    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
+        for decide in (kernel.hangable_subset, kernel.hangable_triples,
+                       kernel.smallest_power_k):
+            with pytest.raises(ValueError):
+                decide([], 0)
 
 
 @compiled
@@ -182,9 +190,9 @@ def test_backends_agree_product_verifiers():
     rng = random.Random(23)
     for _ in range(150):
         ng, nh = rng.randint(2, 5), rng.randint(1, 4)
-        mg = random_connected_graph(ng, rng).neighbor_masks()
+        mg = random_connected_graph(ng, rng).masks
         mh = rand_masks(rng, nh, rng.choice([0.0, 0.5, 1.0]))
-        mh2 = random_connected_graph(rng.randint(1, 5), rng).neighbor_masks()
+        mh2 = random_connected_graph(rng.randint(1, 5), rng).masks
         dg, dh2 = pyk.apsp(mg), pyk.apsp(mh2)
         corona = pyk.corona_verify(mg, dg, mh)
         cartesian = pyk.cartesian_verify(mg, dg, mh2, dh2)
@@ -193,6 +201,13 @@ def test_backends_agree_product_verifiers():
             assert ck.corona_verify(mg, dist_g, mh) == corona
             assert ck.cartesian_verify(mg, dist_g, mh2, dist_h) == cartesian
         assert pyk.join_verify(mg, mh) == ck.join_verify(mg, mh)
+    for kernel in (pyk, ck):  # products with no vertices have no metrics
+        with pytest.raises(ValueError):
+            kernel.corona_verify([], [], [0])
+        with pytest.raises(ValueError):
+            kernel.cartesian_verify([], [], [0], [0])
+        with pytest.raises(ValueError):
+            kernel.join_verify([], [])
 
 
 @compiled
@@ -200,7 +215,7 @@ def test_compiled_rejects_mismatched_distance_length():
     # the length check guards C against reading past the matrix it is given
     mg, mh = FIG_H_MASKS, [0b10, 0b01]
     for dist, n in ((FIG_H_DIST[:-1], 4), (FIG_H_DIST, 3), (FIG_H_DIST + [0], 4),
-                    ([], -1), (FIG_H_DIST, -4)):
+                    ([], -1), (FIG_H_DIST, -4), ([], 0)):
         with pytest.raises(ValueError):
             ck.hangable_subset(dist, n)
         with pytest.raises(ValueError):
@@ -215,7 +230,7 @@ def test_compiled_rejects_mismatched_distance_length():
 @compiled
 def test_compiled_answers_oversized_like_pure():
     # past the word width the compiled module hands the call to the pure twin
-    masks = path(65).neighbor_masks()
+    masks = path(65).masks
     dist = pyk.apsp(masks)
     assert ck.apsp(masks) == dist
     assert ck.hangable_subset(dist, 65) == pyk.hangable_subset(dist, 65)
@@ -224,7 +239,7 @@ def test_compiled_answers_oversized_like_pure():
     for _ in range(5):
         bits = rng.getrandbits(pair_count(12))
         assert ck.classify_bits(12, bits) == pyk.classify_bits(12, bits)
-    mg = cycle(5).neighbor_masks()  # corona on 5 * (1 + 13) = 70 vertices
+    mg = cycle(5).masks  # corona on 5 * (1 + 13) = 70 vertices
     mh = rand_masks(rng, 13, 0.5)
     dg = pyk.apsp(mg)
     assert ck.corona_verify(mg, dg, mh) == pyk.corona_verify(mg, dg, mh)
@@ -249,17 +264,17 @@ def test_wrapper_handles_large_graphs_via_pure():
     # 70 vertices exceeds the compiled word width; the call must reach the
     # pure kernel transparently
     g = path(70)
-    flat = kernels.apsp(g.neighbor_masks())
+    flat = kernels.apsp(g.masks)
     assert flat[69] == 69
-    assert kernels.is_connected_masks(g.neighbor_masks())
+    assert kernels.is_connected_masks(g.masks)
 
 
 def test_wrapper_verify_codes_ok():
     for g in iter_graphs(3, connected_only=True):
-        mg = g.neighbor_masks()
+        mg = g.masks
         dg = kernels.apsp(mg)
         for h in iter_graphs(2):
-            mh = h.neighbor_masks()
+            mh = h.masks
             if g.n >= 2:
                 assert kernels.corona_verify(mg, dg, mh) == kernels.VERIFY_OK
             if is_connected(h):
@@ -281,7 +296,7 @@ def test_public_checkers_route_through_wrapper(fig_h):
 def test_apsp_matches_public_matrix():
     for g in iter_graphs(4, connected_only=True):
         dm = all_pairs_distances(g)
-        flat = kernels.apsp(g.neighbor_masks())
+        flat = kernels.apsp(g.masks)
         for u in range(g.n):
             for v in range(g.n):
                 assert dm.dist(u, v) == flat[u * g.n + v]
@@ -308,6 +323,39 @@ def show_backend(env):
 
 # the loader runs the first word of $CC (default cc)
 CC_PROGRAM = ((os.environ.get("CC") or "cc").split() or ["cc"])[0]
+
+
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+def test_backend_agreement_under_ubsan(tmp_path):
+    # the agreement tests again, in a child whose kernel is built with every
+    # undefined-behaviour check fatal; a probe first shows that the runtime
+    # loads under ctypes and aborts on a bad shift
+    cc = [*((os.environ.get("CC") or "cc").split() or ["cc"]), *UBSAN]
+    probe = tmp_path / "probe.c"
+    probe.write_text("int shift(int s) { return 1 << s; }\n")
+    lib = tmp_path / "probe.so"
+    try:
+        built = subprocess.run([*cc, "-shared", "-fPIC", "-o", str(lib), str(probe)],
+                               capture_output=True, timeout=120).returncode == 0
+    except OSError:
+        built = False
+    if not built:
+        pytest.skip("the C compiler cannot build with -fsanitize=undefined")
+    res = subprocess.run([sys.executable, "-c", f"import ctypes; ctypes.CDLL({str(lib)!r}).shift(40)"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode != 0 and "runtime error" in res.stderr, res.stderr
+
+    cache = tmp_path / "cache"
+    # -s: a sanitizer report must reach this stderr before the child aborts
+    res = subprocess.run([sys.executable, "-m", "pytest", "-s", "-p", "no:cacheprovider", __file__,
+                          "-k", "backends_agree or compiled_rejects or oversized"],
+                         env=child_env(CC=" ".join(cc), XDG_CACHE_HOME=str(cache)),
+                         capture_output=True, text=True, timeout=300)
+    # a silent fallback to the pure kernel would pass without testing C
+    assert f"hanggraph kernel: compiled (loaded {cache}" in res.stdout, res.stdout + res.stderr
+    assert res.returncode == 0, res.stdout + res.stderr
 
 
 @pytest.mark.skipif(shutil.which(CC_PROGRAM) is None, reason="no C compiler")

@@ -24,8 +24,9 @@ from .metrics import (DistanceMatrix, HangabilityReport, MetricProfile,
                       check_hangable_triples, is_self_centered, metric_profile)
 from .products import (CartesianMetrics, CoronaMetrics, ProductVertexMap,
                        cartesian, cartesian_metric_oracle, corona,
-                       corona_distance_oracle, corona_metric_oracle, join,
-                       join_hangability_predicate, universal_vertices)
+                       corona_distance_matrix, corona_distance_oracle,
+                       corona_metric_oracle, join, join_hangability_predicate,
+                       universal_vertices)
 
 __version__ = "0.1.0"
 
@@ -54,6 +55,7 @@ __all__ = [
     "classify_stream",
     "complement",
     "corona",
+    "corona_distance_matrix",
     "corona_distance_oracle",
     "corona_metric_oracle",
     "disjoint_union",

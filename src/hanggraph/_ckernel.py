@@ -8,7 +8,10 @@ the source, the compiler command and the machine, so each source compiles
 once per machine; later imports only load it.  Concurrent first imports
 serialize on a lock of the cache directory, and the compiler writes a
 temporary file that is renamed into place, so no process ever loads a
-partly written object.
+partly written object.  A failed compile leaves a marker under the
+object's name plus ``.failed`` that holds the compiler's reason; later
+imports raise that reason without running the compiler, until the marker
+is deleted.
 
 Every public function takes the same arguments as its pure twin and
 returns the same answer.  One conversion marshals data into C: masks become
@@ -16,7 +19,9 @@ an ``array('Q')`` and distance matrices an ``array('b')`` (signed int8, -1
 for unreachable), whose bytes C reads.  ``apsp`` returns the ``array('b')``
 that C filled, so its matrix goes back into a decider as a byte copy; any
 other flat int sequence (the pure twin's list, a test's tuple) takes the
-same conversion.  Graphs past the 64-vertex word width (11 vertices for
+same conversion.  A mask crosses as W = ceil(n / 64) words, low word
+first, so C serves every graph up to ``MAXN`` = 128 vertices, where a
+distance still fits a signed byte.  Larger graphs (past 11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
 are sent to the pure twin here, so any input gets the pure answer.  Like the
 pure twin, every call that decides something about a graph with no vertices
@@ -39,8 +44,9 @@ from . import _pykernel as _py
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hgkernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
-MAXN = 64
+MAXN = 128
 MAX_CLASSIFY_N = 11  # C(11,2) = 55 edge bits fit a 64-bit subset index
+_WORD = (1 << 64) - 1
 
 
 def compiler() -> list[str]:
@@ -69,15 +75,30 @@ def library_name(source: bytes, cc: Sequence[str]) -> str:
     return f"hgkernel-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so"
 
 
+def _raise_cached_failure(marker: str) -> None:
+    try:
+        with open(marker, encoding="utf-8") as fh:
+            reason = fh.read()
+    except FileNotFoundError:
+        return
+    raise ImportError(reason)
+
+
 def build() -> str:
-    """Compile ``hgkernel.c`` into the cache unless it is there; return its path."""
+    """Compile ``hgkernel.c`` into the cache unless it is there; return its path.
+
+    Raises ``ImportError`` with the reason when the compiler is missing or
+    fails, or has failed before on this source.
+    """
     with open(SOURCE, "rb") as fh:
         source = fh.read()
     cc = compiler()
     directory = cache_dir()
     path = os.path.join(directory, library_name(source, cc))
+    marker = f"{path}.failed"
     if os.path.exists(path):
         return path
+    _raise_cached_failure(marker)
 
     # only a build needs these; loading a cached object stays cheap
     import fcntl
@@ -91,13 +112,19 @@ def build() -> str:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released by close
         if os.path.exists(path):  # another process built it while we waited
             return path
+        _raise_cached_failure(marker)
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             proc = subprocess.run([*cc, *CFLAGS, "-o", tmp, SOURCE],
                                   capture_output=True, text=True)
             if proc.returncode != 0:
-                raise ImportError(f"{' '.join(cc)} failed on {SOURCE}: "
-                                  f"{(proc.stderr or proc.stdout).strip()}")
+                reason = (f"{' '.join(cc)} failed on {SOURCE}: "
+                          f"{(proc.stderr or proc.stdout).strip()} "
+                          f"(cached in {marker}; delete it to compile again)")
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(reason)
+                os.replace(tmp, marker)
+                raise ImportError(reason)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -134,7 +161,11 @@ except (OSError, AttributeError) as exc:
 
 
 def _masks(masks: Sequence[int]) -> bytes:
-    return array("Q", masks).tobytes()
+    """Each mask as W = ceil(n / 64) words, low word first, vertex after
+    vertex; callers send at most MAXN vertices, so W is 1 or 2."""
+    if len(masks) <= 64:  # each mask is its own word
+        return array("Q", masks).tobytes()
+    return array("Q", [m >> s & _WORD for m in masks for s in (0, 64)]).tobytes()
 
 
 def _dist(dist: Sequence[int], n: int) -> bytes:
@@ -163,7 +194,7 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     if n > MAXN:
         return _py.hangable_subset(dist, n)
     r = _subset(_dist(dist, n), n)
-    return (True, -1, -1) if r < 0 else (False, r >> 6, r & 63)
+    return (True, -1, -1) if r < 0 else (False, r >> 7, r & 127)
 
 
 def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
@@ -171,7 +202,7 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     if n > MAXN:
         return _py.hangable_triples(dist, n)
     r = _triples(_dist(dist, n), n)
-    return (True, -1, -1, -1) if r < 0 else (False, r >> 12, r >> 6 & 63, r & 63)
+    return (True, -1, -1, -1) if r < 0 else (False, r >> 14, r >> 7 & 127, r & 127)
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:

@@ -6,11 +6,11 @@ sequences of length n*n with -1 for unreachable pairs: ``apsp`` returns a
 list, and every function taking a matrix reads any int sequence, the
 compiled twin's ``array('b')`` included.  The compiled twin in ``_ckernel``
 mirrors the signatures exactly; ``kernels`` picks one of the two at import.
-The pure ``apsp`` keeps lists: it serves every graph past 64 vertices, and
-past 128 a distance can exceed a signed byte.
+The pure ``apsp`` keeps lists: it serves every graph past 128 vertices,
+where a distance can exceed a signed byte.
 
 Python ints double as unbounded bitsets, so this backend has no vertex limit;
-``_ckernel`` hands it the graphs too large for its word-size masks.  The
+``_ckernel`` hands it the graphs past its 128 vertices.  The
 deciders, kmin, ``classify_bits`` and the verifiers need at least one vertex
 and raise ``ValueError`` (an empty ``max``) on a graph with none, as the
 compiled twin does.  ``biconnected_blocks`` has no compiled twin; it serves

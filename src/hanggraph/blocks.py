@@ -6,7 +6,7 @@ decompose without touching the recursion limit.  Blocks partition the edge
 set; any two blocks share at most one vertex, and the cut vertices are
 exactly the vertices in two or more blocks.  An isolated K_1 counts as one
 single-vertex block with no cut vertices.  Block-graph recognition asks the
-selected kernel, which runs the same DFS (in C up to 64 vertices) and tests
+selected kernel, which runs the same DFS (in C up to 128 vertices) and tests
 each block for a clique.
 """
 

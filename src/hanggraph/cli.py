@@ -19,7 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from functools import partial
+from functools import cache
 from typing import Sequence
 
 from . import blocks as blocks_mod
@@ -182,10 +182,10 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
             dist_g = metrics_mod.all_pairs_distances(g)  # fails first on a bad base
             g_profile = metrics_mod.metric_profile(g, dist_g)
             oracle = products_mod.corona_metric_oracle(g, h, g_profile)
-            distance = partial(products_mod.corona_distance_oracle, dist_g, h)
+            distances = products_mod.corona_distance_matrix(dist_g, h)
         elif kind == "cartesian":
             oracle = products_mod.cartesian_metric_oracle(g, h)
-            distance = oracle.distance
+            distances = oracle.distance_matrix()
         elif prod.n < 1:
             raise GraphInputError("empty join")
     except (GraphInputError, DisconnectedGraphError) as exc:
@@ -194,11 +194,8 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
         hangable = metrics_mod.check_hangable(prod).hangable
         checks = [("hangability", hangable == products_mod.join_hangability_predicate(g, h))]
     else:
-        dist_p = metrics_mod.all_pairs_distances(prod)
-        truth = metrics_mod.metric_profile(prod, dist_p)
-        n = prod.n
-        checks = [("distances", all(distance(p, q) == dist_p.dist(p, q)
-                                    for p in range(n) for q in range(n)))]
+        truth = metrics_mod.metric_profile(prod)
+        checks = [("distances", distances == list(metrics_mod.connected_apsp(prod)))]
         checks += [(name, getattr(oracle, attr) == getattr(truth, attr))
                    for name, attr in _ORACLE_STATEMENTS if hasattr(oracle, attr)]
     lines = [f"oracle {kind} {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
@@ -367,7 +364,14 @@ def cmd_subgraph_search(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand NAME runs the module's ``cmd_NAME`` (dashes as
+    underscores), looked up when ``main`` runs, so the parser holds no
+    function objects and a replaced ``cmd_*`` attribute takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="hanggraph",
         description="Metric analysis of finite simple graphs: peripheries, "
@@ -383,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="metric profile and hangability of one graph")
     p.add_argument("input", help="file, '-' for stdin, or expression like grid:3x4")
     p.add_argument("--labels", help="comma-separated vertex names, e.g. a,b,c,d,e")
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("product", parents=[common],
                        help="corona, cartesian, or join of two graphs")
@@ -392,13 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h")
     p.add_argument("--oracle-check", action="store_true",
                    help="compare closed-form metrics against BFS on the product")
-    p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("embed", parents=[common],
                        help="hangable supergraph adding at most one vertex")
     p.add_argument("input")
     p.add_argument("--labels", help="comma-separated vertex names")
-    p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("power", parents=[common], help="graph power")
     p.add_argument("input")
@@ -406,23 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smallest", action="store_true",
                    help="print the least k whose power is hangable")
     p.add_argument("--labels", help="comma-separated vertex names")
-    p.set_defaults(fn=cmd_power)
 
     p = sub.add_parser("blocks", parents=[common],
                        help="biconnected blocks and cut vertices")
     p.add_argument("input")
     p.add_argument("--labels", help="comma-separated vertex names")
-    p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("classify", parents=[common],
                        help="classify a stream of graph6 lines")
     p.add_argument("input", help="file of graph6 lines, or '-' for stdin")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("generate", parents=[common], help="emit a named family")
     p.add_argument("family", choices=sorted(generators.FAMILIES))
     p.add_argument("params", nargs="+", type=int)
-    p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("subgraph-search", parents=[common],
                        help="count hangable induced subgraphs of a host")
@@ -434,15 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also list the hangable subgraphs in graph6")
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="subset budget (default 10^7)")
-    p.set_defaults(fn=cmd_subgraph_search)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except explorer_mod.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

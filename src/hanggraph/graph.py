@@ -72,7 +72,7 @@ class Graph:
     @cached_property
     def distances(self) -> Sequence[int]:
         """Flat row-major distance matrix, as the kernel returns it: the
-        compiled kernel's ``array('b')`` up to 64 vertices, else the pure
+        compiled kernel's ``array('b')`` up to 128 vertices, else the pure
         kernel's list.  Raises before the kernel allocates n^2 entries if the
         graph is disconnected."""
         require_connected(self)

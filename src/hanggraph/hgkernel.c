@@ -1,10 +1,13 @@
-/* Compiled kernels: the semantics twin of _pykernel.py for n <= 64.
+/* Compiled kernels: the semantics twin of _pykernel.py for n <= 128.
  *
  * Plain C with no Python headers; _ckernel.py compiles this file with the
- * system C compiler and calls it through ctypes.  Adjacency lives in 64-bit
- * masks (bit j of adj[i] set iff ij is an edge), distances in signed bytes,
- * flat row-major, -1 for unreachable pairs.  Callers check every size limit
- * before calling in; nothing here allocates or fails.
+ * system C compiler and calls it through ctypes.  Adjacency lives in masks
+ * of W = ceil(n / 64) 64-bit words per vertex, vertex after vertex: bit j of
+ * vertex i's mask is bit j % 64 of adj[i * W + j / 64], set iff ij is an
+ * edge.  Every entry point works W out from n.  Distances are signed bytes,
+ * flat row-major, -1 for unreachable pairs; a connected graph on 128
+ * vertices has diameter at most 127, so every distance fits.  Callers check
+ * every size limit before calling in; nothing here allocates or fails.
  *
  * Results that are tuples on the Python side come back packed into one
  * 64-bit integer so that no output buffer is shared between calls; see the
@@ -13,8 +16,10 @@
 
 #include <stdint.h>
 
-#define MAXN 64
+#define MAXN 128
+#define MAXW 2 /* words per mask at MAXN vertices */
 #define MAXN2 (MAXN * MAXN)
+#define MAXE (MAXN * (MAXN - 1) / 2) /* edges of the complete graph K_MAXN */
 
 enum {
     F_CONNECTED = 1,
@@ -37,11 +42,46 @@ enum {
 
 static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
 
-/* x << s with shifts of 64 or more giving 0 instead of undefined behaviour */
-static inline uint64_t shl(uint64_t x, int s) { return s < 64 ? x << s : 0; }
+static inline int words(int n) { return (n + 63) >> 6; }
 
-/* the n lowest bits set */
-static inline uint64_t low_bits(int n) { return n < 64 ? ((uint64_t)1 << n) - 1 : ~(uint64_t)0; }
+static inline void set_bit(uint64_t *mask, int i) { mask[i >> 6] |= (uint64_t)1 << (i & 63); }
+
+static inline int has_bit(const uint64_t *mask, int i) { return mask[i >> 6] >> (i & 63) & 1; }
+
+/* the lowest set bit at or above i of a W-word mask, or -1 */
+static inline int next_bit(const uint64_t *mask, int W, int i)
+{
+    int k = i >> 6;
+    if (k >= W)
+        return -1;
+    uint64_t word = mask[k] & (~(uint64_t)0 << (i & 63));
+    while (!word) {
+        if (++k == W)
+            return -1;
+        word = mask[k];
+    }
+    return k * 64 + ctz64(word);
+}
+
+/* word k of the mask with bits 0 .. n-1 set */
+static inline uint64_t full_word(int n, int k)
+{
+    int r = n - 64 * k;
+    return r >= 64 ? ~(uint64_t)0 : r <= 0 ? 0 : ((uint64_t)1 << r) - 1;
+}
+
+/* out = the union of the masks of the vertices in frontier */
+static inline void expand(const uint64_t *adj, int W, const uint64_t *frontier, uint64_t *out)
+{
+    for (int j = 0; j < W; j++)
+        out[j] = 0;
+    for (int k = 0; k < W; k++)
+        for (uint64_t f = frontier[k]; f; f &= f - 1) {
+            const uint64_t *a = adj + (k * 64 + ctz64(f)) * W;
+            for (int j = 0; j < W; j++)
+                out[j] |= a[j];
+        }
+}
 
 static int8_t max8(const int8_t *a, int len)
 {
@@ -52,44 +92,61 @@ static int8_t max8(const int8_t *a, int len)
     return best;
 }
 
-static void apsp_core(const uint64_t *adj, int n, int8_t *dist)
+static inline void apsp_core(const uint64_t *adj, int n, int W, int8_t *dist)
 {
     for (int s = 0; s < n; s++) {
         int8_t *row = dist + s * n;
+        uint64_t seen[MAXW], frontier[MAXW], nxt[MAXW];
         for (int v = 0; v < n; v++)
             row[v] = -1;
         row[s] = 0;
-        uint64_t seen = (uint64_t)1 << s, frontier = seen;
-        int d = 0;
-        while (frontier) {
-            uint64_t nxt = 0;
-            for (uint64_t f = frontier; f; f &= f - 1)
-                nxt |= adj[ctz64(f)];
-            nxt &= ~seen;
-            if (!nxt)
+        /* no set_bit here: its variable index would keep the words in memory */
+        for (int k = 0; k < W; k++)
+            seen[k] = frontier[k] = k == s >> 6 ? (uint64_t)1 << (s & 63) : 0;
+        for (int d = 1;; d++) {
+            uint64_t any = 0;
+            expand(adj, W, frontier, nxt);
+            for (int k = 0; k < W; k++) {
+                frontier[k] = nxt[k] & ~seen[k];
+                seen[k] |= frontier[k];
+                any |= frontier[k];
+                for (uint64_t f = frontier[k]; f; f &= f - 1)
+                    row[k * 64 + ctz64(f)] = (int8_t)d;
+            }
+            if (!any)
                 break;
-            d++;
-            for (uint64_t f = nxt; f; f &= f - 1)
-                row[ctz64(f)] = (int8_t)d;
-            seen |= nxt;
-            frontier = nxt;
         }
     }
 }
 
-static int connected_core(const uint64_t *adj, int n)
+/* apsp_core with the word count as a constant, 1 up to 64 vertices and
+ * MAXW past them, so that each inlined copy unrolls its loops over words */
+static void apsp_words(const uint64_t *adj, int n, int8_t *dist)
 {
+    if (n <= 64)
+        apsp_core(adj, n, 1, dist);
+    else
+        apsp_core(adj, n, MAXW, dist);
+}
+
+static inline int connected_core(const uint64_t *adj, int n, int W)
+{
+    uint64_t seen[MAXW] = {1}, frontier[MAXW] = {1}, nxt[MAXW], any = 1;
     if (n <= 1)
         return 1;
-    uint64_t seen = 1, frontier = 1;
-    while (frontier) {
-        uint64_t nxt = 0;
-        for (uint64_t f = frontier; f; f &= f - 1)
-            nxt |= adj[ctz64(f)];
-        frontier = nxt & ~seen;
-        seen |= frontier;
+    while (any) {
+        any = 0;
+        expand(adj, W, frontier, nxt);
+        for (int k = 0; k < W; k++) {
+            frontier[k] = nxt[k] & ~seen[k];
+            seen[k] |= frontier[k];
+            any |= frontier[k];
+        }
     }
-    return seen == low_bits(n);
+    for (int k = 0; k < W; k++)
+        if (seen[k] != full_word(n, k))
+            return 0;
+    return 1;
 }
 
 static void ecc_core(const int8_t *dist, int n, int8_t *ecc)
@@ -131,38 +188,37 @@ static int triples_core(const int8_t *dist, int n, const int8_t *ecc, int8_t dia
 }
 
 /* iterative lowpoint DFS; connected input assumed.  Every block must be a
- * clique: each vertex of a finished block sees all of its other vertices. */
-static int block_core(const uint64_t *adj, int n)
+ * clique: each vertex of a finished block sees all of its other vertices.
+ * Each edge goes on the edge stack once, so MAXE entries always suffice. */
+static inline int block_core(const uint64_t *adj, int n, int W)
 {
-    int disc[MAXN], low[MAXN], parent[MAXN], vstack[MAXN];
-    int eu_stack[MAXN * 32], ev_stack[MAXN * 32];
-    uint64_t rem[MAXN];
+    int disc[MAXN], low[MAXN], parent[MAXN], cursor[MAXN]; /* cursor: next neighbor to try */
+    uint8_t vstack[MAXN], eu_stack[MAXE], ev_stack[MAXE];
     if (n <= 2)
         return 1;
     for (int v = 0; v < n; v++) {
         disc[v] = -1;
         parent[v] = -1;
-        rem[v] = adj[v];
+        cursor[v] = 0;
     }
     int top = 0, etop = 0, timer = 1;
     vstack[0] = 0;
     disc[0] = low[0] = 0;
     while (top >= 0) {
         int v = vstack[top];
-        if (rem[v]) {
-            uint64_t lowbit = rem[v] & (0 - rem[v]);
-            rem[v] ^= lowbit;
-            int w = ctz64(lowbit);
+        int w = next_bit(adj + v * W, W, cursor[v]);
+        if (w >= 0) {
+            cursor[v] = w + 1;
             if (disc[w] == -1) {
                 parent[w] = v;
                 disc[w] = low[w] = timer++;
-                eu_stack[etop] = v;
-                ev_stack[etop] = w;
+                eu_stack[etop] = (uint8_t)v;
+                ev_stack[etop] = (uint8_t)w;
                 etop++;
-                vstack[++top] = w;
+                vstack[++top] = (uint8_t)w;
             } else if (w != parent[v] && disc[w] < disc[v]) {
-                eu_stack[etop] = v;
-                ev_stack[etop] = w;
+                eu_stack[etop] = (uint8_t)v;
+                ev_stack[etop] = (uint8_t)w;
                 etop++;
                 if (disc[w] < low[v])
                     low[v] = disc[w];
@@ -176,19 +232,21 @@ static int block_core(const uint64_t *adj, int n)
             low[u] = low[v];
         if (low[v] < disc[u])
             continue;
-        uint64_t bmask = 0;
+        uint64_t bmask[MAXW] = {0};
         for (;;) {
             etop--;
             int a = eu_stack[etop], b = ev_stack[etop];
-            bmask |= ((uint64_t)1 << a) | ((uint64_t)1 << b);
+            set_bit(bmask, a);
+            set_bit(bmask, b);
             if (a == u && b == v)
                 break;
         }
-        for (uint64_t m = bmask; m; m &= m - 1) {
-            int x = ctz64(m);
-            if ((adj[x] & bmask) != (bmask ^ ((uint64_t)1 << x)))
-                return 0;
-        }
+        for (int x = next_bit(bmask, W, 0); x >= 0; x = next_bit(bmask, W, x + 1))
+            for (int k = 0; k < W; k++) {
+                uint64_t others = k == x >> 6 ? bmask[k] ^ (uint64_t)1 << (x & 63) : bmask[k];
+                if ((adj[x * W + k] & bmask[k]) != others)
+                    return 0;
+            }
     }
     return 1;
 }
@@ -218,18 +276,20 @@ static int kmin_core(const int8_t *dist, int n)
 }
 
 /* --- entry points ----------------------------------------------------------
- * The cores above stay static so that, under -fPIC, the compiler may still
- * inline them into hg_classify and the verifiers. */
+ * The cores above stay static, and the mask walkers inline, so that under
+ * -fPIC the compiler may still inline them.  Where they inline, hg_classify's
+ * constant W = 1 and apsp_words' constants let it unroll the loops over
+ * words. */
 
-void hg_apsp(const uint64_t *adj, int n, int8_t *dist) { apsp_core(adj, n, dist); }
+void hg_apsp(const uint64_t *adj, int n, int8_t *dist) { apsp_words(adj, n, dist); }
 
-int hg_connected(const uint64_t *adj, int n) { return connected_core(adj, n); }
+int hg_connected(const uint64_t *adj, int n) { return connected_core(adj, n, words(n)); }
 
-int hg_block(const uint64_t *adj, int n) { return block_core(adj, n); }
+int hg_block(const uint64_t *adj, int n) { return block_core(adj, n, words(n)); }
 
 int hg_kmin(const int8_t *dist, int n) { return kmin_core(dist, n); }
 
-/* -1 when hangable, else the first witness as v << 6 | u */
+/* -1 when hangable, else the first witness as v << 7 | u */
 int64_t hg_subset(const int8_t *dist, int n)
 {
     int8_t ecc[MAXN];
@@ -237,11 +297,11 @@ int64_t hg_subset(const int8_t *dist, int n)
     ecc_core(dist, n, ecc);
     if (subset_core(dist, n, ecc, max8(ecc, n), &wv, &wu))
         return -1;
-    return (int64_t)wv << 6 | wu;
+    return (int64_t)wv << 7 | wu;
 }
 
 /* -1 when hangable, else the first violating triple (v, u, w) as
- * v << 12 | u << 6 | w */
+ * v << 14 | u << 7 | w */
 int64_t hg_triples(const int8_t *dist, int n)
 {
     int8_t ecc[MAXN];
@@ -249,15 +309,18 @@ int64_t hg_triples(const int8_t *dist, int n)
     ecc_core(dist, n, ecc);
     if (triples_core(dist, n, ecc, max8(ecc, n), w))
         return -1;
-    return (int64_t)w[0] << 12 | w[1] << 6 | w[2];
+    return (int64_t)w[0] << 14 | w[1] << 7 | w[2];
 }
 
-/* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24 */
+/* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24.
+ * n <= 11, so every mask is one word. */
 int64_t hg_classify(int n, uint64_t bits)
 {
-    uint64_t adj[MAXN] = {0};
+    uint64_t adj[MAXN];
     int8_t dist[MAXN2], ecc[MAXN];
     int k = 0, m = 0, wv, wu, w[3];
+    for (int i = 0; i < n; i++)
+        adj[i] = 0;
     for (int i = 0; i < n; i++)
         for (int j = i + 1; j < n; j++, k++)
             if ((bits >> k) & 1) {
@@ -265,9 +328,9 @@ int64_t hg_classify(int n, uint64_t bits)
                 adj[j] |= (uint64_t)1 << i;
                 m++;
             }
-    if (!connected_core(adj, n))
+    if (!connected_core(adj, n, 1))
         return 0;
-    apsp_core(adj, n, dist);
+    apsp_core(adj, n, 1, dist);
     ecc_core(dist, n, ecc);
     int8_t diam = 0, radius = 127;
     for (int i = 0; i < n; i++) {
@@ -283,7 +346,7 @@ int64_t hg_classify(int n, uint64_t bits)
         flags |= F_HANGABLE_TRIPLES;
     if (radius == diam)
         flags |= F_SELF_CENTERED;
-    if (block_core(adj, n))
+    if (block_core(adj, n, 1))
         flags |= F_BLOCK_GRAPH;
     if (m == n - 1)
         flags |= F_TREE;
@@ -291,20 +354,28 @@ int64_t hg_classify(int n, uint64_t bits)
 }
 
 /* builds the corona G o H (copy v of H hangs off base vertex v) and checks
- * every closed-form statement against BFS on it; ng * (1 + nh) <= 64 */
+ * every closed-form statement against BFS on it; ng * (1 + nh) <= 128 */
 int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                      const uint64_t *adjh, int nh)
 {
-    uint64_t adjc[MAXN];
+    uint64_t adjc[MAXN * MAXW];
     int8_t dc[MAXN2], eccg[MAXN], eccc[MAXN];
-    int nc = ng * (1 + nh), wv, wu;
-    uint64_t hfull = low_bits(nh);
+    int nc = ng * (1 + nh), wg = words(ng), wh = words(nh), wc = words(nc), wv, wu;
+    for (int i = 0; i < nc * wc; i++)
+        adjc[i] = 0;
     for (int v = 0; v < ng; v++) {
-        adjc[v] = adjg[v] | shl(hfull, ng + v * nh);
-        for (int x = 0; x < nh; x++)
-            adjc[ng + v * nh + x] = ((uint64_t)1 << v) | shl(adjh[x], ng + v * nh);
+        for (int k = 0; k < wg; k++)
+            adjc[v * wc + k] = adjg[v * wg + k];
+        for (int x = 0; x < nh; x++) {
+            int p = ng + v * nh + x;
+            const uint64_t *hx = adjh + x * wh;
+            set_bit(adjc + v * wc, p);
+            set_bit(adjc + p * wc, v);
+            for (int y = next_bit(hx, wh, 0); y >= 0; y = next_bit(hx, wh, y + 1))
+                set_bit(adjc + p * wc, ng + v * nh + y);
+        }
     }
-    apsp_core(adjc, nc, dc);
+    apsp_words(adjc, nc, dc);
     int8_t diam_g = max8(dg, ng * ng);
 
     for (int u = 0; u < ng; u++)
@@ -319,7 +390,7 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                 int p = ng + u * nh + x;
                 for (int y = 0; y < nh; y++) {
                     int got = dc[p * nc + ng + v * nh + y];
-                    int expect = u != v ? want + 2 : x == y ? 0 : (adjh[x] >> y) & 1 ? 1 : 2;
+                    int expect = u != v ? want + 2 : x == y ? 0 : has_bit(adjh + x * wh, y) ? 1 : 2;
                     if (got != expect)
                         return VERIFY_DISTANCE;
                 }
@@ -331,29 +402,22 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
     if (diam_c != diam_g + 2)
         return VERIFY_DIAMETER;
 
+    /* product vertex q lies in a periphery iff it is a copy vertex over a
+     * base vertex of the matching base periphery */
     ecc_core(dg, ng, eccg);
     for (int p = 0; p < nc; p++) {
         int base_u = p < ng ? p : (p - ng) / nh;
-        uint64_t expected = 0, actual = 0;
-        for (int v = 0; v < ng; v++)
-            if (dg[base_u * ng + v] == eccg[base_u])
-                expected |= shl(hfull, ng + v * nh);
-        for (int q = 0; q < nc; q++)
-            if (dc[p * nc + q] == eccc[p])
-                actual |= (uint64_t)1 << q;
-        if (actual != expected)
-            return VERIFY_VERTEX_PERIPHERY;
+        for (int q = 0; q < nc; q++) {
+            int expected = q >= ng && dg[base_u * ng + (q - ng) / nh] == eccg[base_u];
+            if ((dc[p * nc + q] == eccc[p]) != expected)
+                return VERIFY_VERTEX_PERIPHERY;
+        }
     }
-
-    uint64_t expected = 0, actual = 0;
-    for (int v = 0; v < ng; v++)
-        if (eccg[v] == diam_g)
-            expected |= shl(hfull, ng + v * nh);
-    for (int q = 0; q < nc; q++)
-        if (eccc[q] == diam_c)
-            actual |= (uint64_t)1 << q;
-    if (actual != expected)
-        return VERIFY_GRAPH_PERIPHERY;
+    for (int q = 0; q < nc; q++) {
+        int expected = q >= ng && eccg[(q - ng) / nh] == diam_g;
+        if ((eccc[q] == diam_c) != expected)
+            return VERIFY_GRAPH_PERIPHERY;
+    }
 
     int hang_c = subset_core(dc, nc, eccc, diam_c, &wv, &wu);
     int hang_g = subset_core(dg, ng, eccg, diam_g, &wv, &wu);
@@ -362,22 +426,25 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
 
 /* builds the box product G [] H (vertex (a, b) at a * nh + b) and checks the
  * sum formulas for distances, eccentricities, diameter and peripheries;
- * ng * nh <= 64 */
+ * ng * nh <= 128 */
 int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                         const uint64_t *adjh, int nh, const int8_t *dh)
 {
-    uint64_t adjp[MAXN], spread[MAXN];
+    uint64_t adjp[MAXN * MAXW];
     int8_t dp[MAXN2], eccg[MAXN], ecch[MAXN], eccp[MAXN];
-    int np = ng * nh, wv, wu;
-    for (int a = 0; a < ng; a++) {
-        spread[a] = 0;
-        for (uint64_t f = adjg[a]; f; f &= f - 1)
-            spread[a] |= (uint64_t)1 << (ctz64(f) * nh);
-    }
+    int np = ng * nh, wg = words(ng), wh = words(nh), wp = words(np), wv, wu;
+    for (int i = 0; i < np * wp; i++)
+        adjp[i] = 0;
     for (int a = 0; a < ng; a++)
-        for (int b = 0; b < nh; b++)
-            adjp[a * nh + b] = (adjh[b] << (a * nh)) | (spread[a] << b);
-    apsp_core(adjp, np, dp);
+        for (int b = 0; b < nh; b++) {
+            uint64_t *mask = adjp + (a * nh + b) * wp;
+            const uint64_t *ga = adjg + a * wg, *hb = adjh + b * wh;
+            for (int d = next_bit(hb, wh, 0); d >= 0; d = next_bit(hb, wh, d + 1))
+                set_bit(mask, a * nh + d);
+            for (int c = next_bit(ga, wg, 0); c >= 0; c = next_bit(ga, wg, c + 1))
+                set_bit(mask, c * nh + b);
+        }
+    apsp_words(adjp, np, dp);
 
     for (int a = 0; a < ng; a++)
         for (int b = 0; b < nh; b++)
@@ -402,34 +469,20 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
     for (int a = 0; a < ng; a++)
         for (int b = 0; b < nh; b++) {
             int p = a * nh + b;
-            uint64_t expected = 0, actual = 0;
-            for (int c = 0; c < ng; c++) {
-                if (dg[a * ng + c] != eccg[a])
-                    continue;
-                for (int d = 0; d < nh; d++)
-                    if (dh[b * nh + d] == ecch[b])
-                        expected |= (uint64_t)1 << (c * nh + d);
-            }
-            for (int q = 0; q < np; q++)
-                if (dp[p * np + q] == eccp[p])
-                    actual |= (uint64_t)1 << q;
-            if (actual != expected)
-                return VERIFY_VERTEX_PERIPHERY;
+            for (int c = 0; c < ng; c++)
+                for (int d = 0; d < nh; d++) {
+                    int expected = dg[a * ng + c] == eccg[a] && dh[b * nh + d] == ecch[b];
+                    if ((dp[p * np + c * nh + d] == eccp[p]) != expected)
+                        return VERIFY_VERTEX_PERIPHERY;
+                }
         }
 
-    uint64_t expected = 0, actual = 0;
-    for (int c = 0; c < ng; c++) {
-        if (eccg[c] != diam_g)
-            continue;
-        for (int d = 0; d < nh; d++)
-            if (ecch[d] == diam_h)
-                expected |= (uint64_t)1 << (c * nh + d);
-    }
-    for (int q = 0; q < np; q++)
-        if (eccp[q] == diam)
-            actual |= (uint64_t)1 << q;
-    if (actual != expected)
-        return VERIFY_GRAPH_PERIPHERY;
+    for (int c = 0; c < ng; c++)
+        for (int d = 0; d < nh; d++) {
+            int expected = eccg[c] == diam_g && ecch[d] == diam_h;
+            if ((eccp[c * nh + d] == diam) != expected)
+                return VERIFY_GRAPH_PERIPHERY;
+        }
 
     int hup = subset_core(dp, np, eccp, (int8_t)diam, &wv, &wu);
     int hg = subset_core(dg, ng, eccg, diam_g, &wv, &wu);
@@ -438,20 +491,39 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
 }
 
 /* builds the join G + H and checks that it is hangable exactly when it is
- * complete or has at most one universal vertex; ng + nh <= 64 */
+ * complete or has at most one universal vertex; ng + nh <= 128 */
 int hg_join_verify(const uint64_t *adjg, int ng, const uint64_t *adjh, int nh)
 {
-    uint64_t adjj[MAXN];
+    uint64_t adjj[MAXN * MAXW];
     int8_t dj[MAXN2];
-    int nj = ng + nh, universal = 0;
-    uint64_t full = low_bits(nj);
-    for (int i = 0; i < ng; i++)
-        adjj[i] = adjg[i] | shl(low_bits(nh), ng);
-    for (int i = 0; i < nh; i++)
-        adjj[ng + i] = shl(adjh[i], ng) | low_bits(ng);
-    for (int i = 0; i < nj; i++)
-        universal += adjj[i] == (full ^ ((uint64_t)1 << i));
+    int nj = ng + nh, wg = words(ng), wh = words(nh), wj = words(nj), universal = 0;
+    for (int i = 0; i < nj * wj; i++)
+        adjj[i] = 0;
+    for (int i = 0; i < ng; i++) {
+        for (int k = 0; k < wg; k++)
+            adjj[i * wj + k] = adjg[i * wg + k];
+        for (int x = 0; x < nh; x++)
+            set_bit(adjj + i * wj, ng + x);
+    }
+    for (int x = 0; x < nh; x++) {
+        uint64_t *mask = adjj + (ng + x) * wj;
+        const uint64_t *hx = adjh + x * wh;
+        for (int y = next_bit(hx, wh, 0); y >= 0; y = next_bit(hx, wh, y + 1))
+            set_bit(mask, ng + y);
+        for (int v = 0; v < ng; v++)
+            set_bit(mask, v);
+    }
+    for (int i = 0; i < nj; i++) {
+        int all_others = 1;
+        for (int k = 0; k < wj; k++) {
+            uint64_t others = full_word(nj, k);
+            if (k == i >> 6)
+                others ^= (uint64_t)1 << (i & 63);
+            all_others &= adjj[i * wj + k] == others;
+        }
+        universal += all_others;
+    }
     int predicted = universal == nj || universal <= 1;
-    apsp_core(adjj, nj, dj);
+    apsp_words(adjj, nj, dj);
     return predicted == hangable_core(dj, nj) ? VERIFY_OK : VERIFY_HANGABLE;
 }

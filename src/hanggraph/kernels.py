@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
 The backend is chosen once, at import.  The compiled kernel (``_ckernel``, C
-built on first import) is used when it loads; it sends graphs too large for
-its machine-word bitmasks to the pure-Python twin (``_pykernel``) itself.  When
+built on first import) is used when it loads; it sends graphs past 128
+vertices to the pure-Python twin (``_pykernel``) itself.  When
 the compiled kernel cannot be built or loaded, everything goes to the pure
 twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
 twin without trying the build.  ``BACKEND`` names the backend in use and

@@ -10,6 +10,9 @@ ProductVertexMap alongside the graph:
 
 The oracles restate the product metrics purely in factor terms, without
 running BFS on the product; they exist to be checked against the BFS route.
+Distances come both per pair (``corona_distance_oracle``,
+``CartesianMetrics.distance``) and as a whole flat matrix built from the
+factor rows (``corona_distance_matrix``, ``CartesianMetrics.distance_matrix``).
 For the corona (base connected, at least 2 vertices; copies nonempty):
 distances gain +1 per copy endpoint (same-base copies: 1 if the copy factor
 has that edge, else 2), the diameter is the base diameter +2, and every
@@ -157,6 +160,34 @@ def corona_distance_oracle(dist_g: DistanceMatrix, h: Graph, p: int, q: int) -> 
     return 1 if h.has_edge(x, y) else 2
 
 
+def corona_distance_matrix(dist_g: DistanceMatrix, h: Graph) -> list[int]:
+    """Every corona distance, flat row-major in product ids.
+
+    Built row by row from the base distance rows; entry p * total + q equals
+    ``corona_distance_oracle(dist_g, h, p, q)``, with the same base-size
+    requirement.
+    """
+    ng, nh = dist_g.n, h.n
+    if ng < 2:
+        raise GraphInputError("corona distance forms need a base with at least 2 vertices")
+    # from copy x to the copies over its own base vertex
+    same_base = [[0 if y == x else 1 if h.has_edge(x, y) else 2 for y in range(nh)]
+                 for x in range(nh)]
+    flat: list[int] = []
+    for row in dist_g.rows:  # base vertices
+        flat += row
+        flat += [d + 1 for d in row for _ in range(nh)]
+    for u, row in enumerate(dist_g.rows):  # the copies over base vertex u
+        to_base = [d + 1 for d in row]
+        to_copies = [d + 2 for d in row for _ in range(nh)]
+        for x in range(nh):
+            flat += to_base
+            flat += to_copies[:u * nh]
+            flat += same_base[x]
+            flat += to_copies[(u + 1) * nh:]
+    return flat
+
+
 @dataclass(frozen=True)
 class CoronaMetrics:
     diameter: int
@@ -207,6 +238,16 @@ class CartesianMetrics:
         nh = self._dist_h.n
         return (self._dist_g.dist(p // nh, q // nh)
                 + self._dist_h.dist(p % nh, q % nh))
+
+    def distance_matrix(self) -> list[int]:
+        """Every product distance, flat row-major; entry p * n + q equals
+        ``distance(p, q)``.  Row (a, b) sums row a of the first factor's
+        matrix with row b of the second's, pair by pair."""
+        flat: list[int] = []
+        for row_g in self._dist_g.rows:
+            for row_h in self._dist_h.rows:
+                flat += [x + y for x in row_g for y in row_h]
+        return flat
 
 
 def cartesian_metric_oracle(g: Graph, h: Graph) -> CartesianMetrics:

@@ -465,6 +465,63 @@ def test_determinism_classify(tmp_path, capsys):
     assert out1 == out2
 
 
+# --- one parser per process -------------------------------------------------------
+
+
+PARSER_RUNS = [["analyze", "grid:3x4", "--format", "structured"],
+               ["product", "corona", "path:3", "complete:2", "--oracle-check"],
+               ["analyze", "cycle:5", "--labels", "a,b,c,d,e"],
+               ["blocks", "path:4"],
+               ["subgraph-search", "cycle:4", "--max-vertices", "3"]]
+
+
+def test_repeated_calls_give_identical_output(capsys):
+    # the parser is shared between calls; no option of one call may leak
+    # into the next, whatever subcommand came before
+    first = [run(capsys, *argv) for argv in PARSER_RUNS]
+    second = [run(capsys, *argv) for argv in reversed(PARSER_RUNS)]
+    assert first == second[::-1]
+
+
+def test_bad_arguments_between_good_calls(capsys):
+    good = ["analyze", "cycle:5", "--format", "structured"]
+    before = run(capsys, *good)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "cycle:5", "--format", "nonsense"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, *good) == before
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    import argparse
+
+    run(capsys, "analyze", "cycle:5")
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+    for argv in PARSER_RUNS:
+        run(capsys, *argv)
+    assert built == []
+
+
+def test_command_resolved_at_call_time(monkeypatch, capsys):
+    from hanggraph import cli
+
+    run(capsys, "analyze", "cycle:5")
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.input) or 7)
+    assert main(["analyze", "path:3"]) == 7
+    assert seen == ["path:3"]
+    monkeypatch.undo()
+    assert run(capsys, "analyze", "path:3")[0] == 0
+
+
 def test_quiet_suppresses_report(fig_g_file, capsys):
     code, out = run(capsys, "analyze", fig_g_file, "--quiet")
     assert code == 0
@@ -478,7 +535,7 @@ def test_multiline_graph6_file_rejected(tmp_path):
 
 
 # Under the pure backend every distance matrix is a list; under the compiled
-# one it is an array of bytes up to 64 vertices.  Run the CLI in a child
+# one it is an array of bytes up to 128 vertices.  Run the CLI in a child
 # forced onto the pure backend, one main() per argv in a single interpreter.
 PURE_CHILD = """
 import contextlib, io, json, sys

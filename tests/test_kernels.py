@@ -5,8 +5,8 @@ kernel (when built), and the public API, which goes through plain
 adjacency-list BFS and explicit graph constructions rather than the kernels'
 bit tricks.  Any two of them disagreeing is a bug somewhere.  The last
 section checks the compiled kernel's loader in fresh interpreters: one build
-per cache however many processes import at once, and a stated reason
-whenever the pure backend is in use.
+per cache however many processes import at once, a stated reason whenever
+the pure backend is in use, and one compiler run for a failing compile.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from hanggraph.corpus import (
     pair_count,
     random_connected_graph,
 )
-from hanggraph.generators import cycle, path
+from hanggraph.generators import complete, cycle, path
+from hanggraph.graph import disjoint_union
 
 try:
     from hanggraph import _ckernel as ck
@@ -228,21 +229,80 @@ def test_compiled_rejects_mismatched_distance_length():
 
 
 @compiled
+def test_backends_agree_65_to_128():
+    # the sizes that take two words per mask: witness ids of 64 and more fill
+    # the 7-bit packed fields, path(128) reaches diameter 127, the largest
+    # distance a signed byte holds, and K_128 fills the block DFS's edge stack
+    rng = random.Random(29)
+    connected = [path(128).masks, path(65).masks, complete(128).masks,
+                 random_connected_graph(100, rng, 0.5).masks]
+    connected += [random_connected_graph(n, rng, p).masks
+                  for n in (65, 72, 100, 127, 128) for p in (0.005, 0.02)]
+    high_witnesses = [0, 0]
+    for masks in connected:
+        n = len(masks)
+        assert ck.is_connected_masks(masks)
+        da, db = pyk.apsp(masks), ck.apsp(masks)
+        assert da == list(db)
+        subset, triples = pyk.hangable_subset(da, n), pyk.hangable_triples(da, n)
+        assert ck.hangable_subset(db, n) == subset
+        assert ck.hangable_triples(db, n) == triples
+        assert ck.smallest_power_k(db, n) == pyk.smallest_power_k(da, n)
+        assert ck.is_block_graph_masks(masks) == pyk.is_block_graph_masks(masks)
+        high_witnesses[0] += max(subset[1:]) >= 64
+        high_witnesses[1] += max(triples[1:]) >= 64
+    assert all(high_witnesses), high_witnesses
+    assert max(ck.apsp(path(128).masks)) == 127
+    for g in (disjoint_union(path(60), cycle(50)), disjoint_union(cycle(3), path(125))):
+        assert not ck.is_connected_masks(g.masks)
+        db = ck.apsp(g.masks)
+        assert pyk.apsp(g.masks) == list(db) and -1 in db
+
+    # products on 65-128 vertices, and factors that take two words themselves
+    for ng, nh in ((5, 13), (8, 15), (2, 63), (100, 0)):
+        mg, mh = random_connected_graph(ng, rng).masks, rand_masks(rng, nh, 0.4)
+        dg = pyk.apsp(mg)
+        assert ck.corona_verify(mg, ck.apsp(mg), mh) == pyk.corona_verify(mg, dg, mh)
+    for ng, nh in ((8, 16), (1, 100), (65, 1)):
+        mg, mh = random_connected_graph(ng, rng).masks, random_connected_graph(nh, rng).masks
+        assert (ck.cartesian_verify(mg, ck.apsp(mg), mh, ck.apsp(mh))
+                == pyk.cartesian_verify(mg, pyk.apsp(mg), mh, pyk.apsp(mh)))
+    for ng, nh in ((70, 58), (1, 127), (100, 0)):
+        for mg in (rand_masks(rng, ng, 0.3), complete(ng).masks):
+            mh = rand_masks(rng, nh, 0.3)
+            assert ck.join_verify(mg, mh) == pyk.join_verify(mg, mh)
+
+
+@compiled
 def test_compiled_answers_oversized_like_pure():
-    # past the word width the compiled module hands the call to the pure twin
-    masks = path(65).masks
+    # past 128 vertices the compiled module hands the call to the pure twin
+    masks = path(129).masks
     dist = pyk.apsp(masks)
     assert ck.apsp(masks) == dist
-    assert ck.hangable_subset(dist, 65) == pyk.hangable_subset(dist, 65)
-    assert ck.hangable_triples(dist, 65) == pyk.hangable_triples(dist, 65)
+    assert ck.hangable_subset(dist, 129) == pyk.hangable_subset(dist, 129)
+    assert ck.hangable_triples(dist, 129) == pyk.hangable_triples(dist, 129)
     rng = random.Random(5)
     for _ in range(5):
         bits = rng.getrandbits(pair_count(12))
         assert ck.classify_bits(12, bits) == pyk.classify_bits(12, bits)
-    mg = cycle(5).masks  # corona on 5 * (1 + 13) = 70 vertices
-    mh = rand_masks(rng, 13, 0.5)
+    mg = cycle(5).masks  # corona on 5 * (1 + 25) = 130 vertices
+    mh = rand_masks(rng, 25, 0.5)
     dg = pyk.apsp(mg)
     assert ck.corona_verify(mg, dg, mh) == pyk.corona_verify(mg, dg, mh)
+
+
+@compiled
+def test_analyze_100_vertices_stays_compiled(monkeypatch, capsys):
+    # 100 vertices take two words per mask; nothing may fall back to pure
+    from hanggraph.cli import main
+
+    pure_calls = []
+    for name, fn in vars(pyk).items():
+        if callable(fn) and getattr(fn, "__module__", None) == pyk.__name__:
+            monkeypatch.setattr(pyk, name, lambda *a, _name=name, **k: pure_calls.append(_name))
+    assert main(["analyze", "grid:10x10", "--format", "structured"]) == 0
+    assert '"diameter": 18' in capsys.readouterr().out
+    assert pure_calls == []
 
 
 # --- the selected backend --------------------------------------------------------
@@ -261,11 +321,11 @@ def test_wrapper_backend_reported():
 
 
 def test_wrapper_handles_large_graphs_via_pure():
-    # 70 vertices exceeds the compiled word width; the call must reach the
-    # pure kernel transparently
-    g = path(70)
+    # 130 vertices exceeds the compiled kernel's 128; the call must reach the
+    # pure kernel transparently, whose list holds a distance past a byte
+    g = path(130)
     flat = kernels.apsp(g.masks)
-    assert flat[69] == 69
+    assert flat[129] == 129
     assert kernels.is_connected_masks(g.masks)
 
 
@@ -385,12 +445,23 @@ def test_missing_compiler_falls_back_with_warning(tmp_path):
     assert "RuntimeWarning" in res.stderr
 
 
-@pytest.mark.skipif(shutil.which("false") is None, reason="no false command")
-def test_failed_compile_falls_back_and_leaves_no_files(tmp_path):
-    res = show_backend(child_env(CC="false", XDG_CACHE_HOME=str(tmp_path)))
-    backend, reason = res.stdout.splitlines()
-    assert backend == "pure" and reason.startswith("false failed on "), reason
-    assert list((tmp_path / "hanggraph").iterdir()) == []
+def test_failed_compile_falls_back_and_is_remembered(tmp_path):
+    # a compiler that logs each run and fails: the second import must take
+    # the cached reason instead of running it again
+    log = tmp_path / "runs.log"
+    cc = tmp_path / "failing-cc"
+    cc.write_text(f"#!/bin/sh\necho run >> '{log}'\necho 'no such flag' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    env = child_env(CC=str(cc), XDG_CACHE_HOME=str(tmp_path))
+    first, second = show_backend(env), show_backend(env)
+    assert log.read_text() == "run\n"
+    backend, reason = first.stdout.splitlines()
+    assert second.stdout.splitlines() == [backend, reason]
+    assert backend == "pure" and reason.startswith(f"{cc} failed on "), reason
+    marker, = (tmp_path / "hanggraph").iterdir()  # no object and no temporary file
+    assert marker.name.endswith(".so.failed") and marker.read_text() == reason
+    assert reason.endswith(f"no such flag (cached in {marker}; delete it to compile again)")
+    assert "RuntimeWarning" in second.stderr
 
 
 def test_unwritable_cache_falls_back_with_warning(tmp_path):

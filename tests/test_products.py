@@ -18,6 +18,7 @@ from hanggraph import (
     cartesian_metric_oracle,
     check_hangable,
     corona,
+    corona_distance_matrix,
     corona_distance_oracle,
     corona_metric_oracle,
     from_edge_list,
@@ -167,6 +168,31 @@ def test_corona_same_base_copies_distance():
     q2 = vmap.corona_copy_id(0, 2)
     assert dm.dist(p, q1) == 1 == corona_distance_oracle(dg, h, p, q1)
     assert dm.dist(p, q2) == 2 == corona_distance_oracle(dg, h, p, q2)
+
+
+def small_graphs(sizes, connected_only=False):
+    return [g for n in sizes for g in iter_graphs(n, connected_only)]
+
+
+def test_distance_matrices_match_per_pair_forms():
+    # the whole-matrix builders against the per-pair forms, on every labeled
+    # connected factor with up to 4 vertices and every factor with up to 3
+    bases = small_graphs(range(1, 5), connected_only=True)
+    for g in bases:
+        dg = all_pairs_distances(g)
+        for h in small_graphs(range(4)):
+            if g.n < 2:
+                with pytest.raises(GraphInputError):
+                    corona_distance_matrix(dg, h)
+                continue
+            total = g.n * (1 + h.n)
+            assert corona_distance_matrix(dg, h) == [
+                corona_distance_oracle(dg, h, p, q) for p in range(total) for q in range(total)]
+        for h in small_graphs(range(1, 4), connected_only=True):
+            om = cartesian_metric_oracle(g, h)
+            total = g.n * h.n
+            assert om.distance_matrix() == [
+                om.distance(p, q) for p in range(total) for q in range(total)]
 
 
 # --- cartesian oracles ------------------------------------------------------------

@@ -14,12 +14,13 @@ imports raise that reason without running the compiler, until the marker
 is deleted.
 
 Every public function takes the same arguments as its pure twin and
-returns the same answer.  One conversion marshals data into C: masks become
-an ``array('Q')`` and distance matrices an ``array('b')`` (signed int8, -1
-for unreachable), whose bytes C reads.  ``apsp`` returns the ``array('b')``
-that C filled, so its matrix goes back into a decider as a byte copy; any
-other flat int sequence (the pure twin's list, a test's tuple) takes the
-same conversion.  A mask crosses as W = ceil(n / 64) words, low word
+returns the same answer; tuples come back from C packed into one 64-bit
+word, whose layout each function's docstring gives.  One conversion
+marshals data into C: masks become an ``array('Q')`` and distance matrices
+an ``array('b')`` (signed int8, -1 for unreachable), whose bytes C reads.
+``apsp`` and ``classify_masks`` return the ``array('b')`` that C filled, so
+its matrix goes back into a decider as a byte copy; any other flat int
+sequence (the pure twin's list, a test's tuple) takes the same conversion.  A mask crosses as W = ceil(n / 64) words, low word
 first, so C serves every graph up to ``MAXN`` = 128 vertices, where a
 distance still fits a signed byte.  Larger graphs (past 11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
@@ -152,6 +153,7 @@ try:
     _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int)
     _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
+    _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P)
     _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int)
     _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P)
     _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int)
@@ -227,6 +229,25 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     if r == 0:
         return (0, -1, -1, -1)
     return (r & 255, r >> 8 & 255, r >> 16 & 255, r >> 24)
+
+
+def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, Sequence[int] | None]:
+    """Mirror of the pure classify_masks.  C packs ``classify_bits``' word
+    (flags in bits 0-7, then diameter, radius and kmin, a byte each) with
+    F_COMPLEMENT_CONNECTED among the flags and |P(G)| from bit 32, and fills
+    the complement's matrix into the ``array('b')`` returned last."""
+    n = len(masks)
+    if n > MAXN:
+        return _py.classify_masks(masks)
+    if n < 1:
+        raise ValueError("classify_masks needs at least one vertex")
+    co_dist = array("b", bytes(n * n))
+    r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0])
+    if not r & _py.F_COMPLEMENT_CONNECTED:
+        co_dist = None
+    if not r & _py.F_CONNECTED:
+        return (r, -1, -1, -1, -1, co_dist)
+    return (r & 255, r >> 8 & 255, r >> 16 & 255, r >> 32, r >> 24 & 255, co_dist)
 
 
 def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],

@@ -11,9 +11,13 @@ where a distance can exceed a signed byte.
 
 Python ints double as unbounded bitsets, so this backend has no vertex limit;
 ``_ckernel`` hands it the graphs past its 128 vertices.  The
-deciders, kmin, ``classify_bits`` and the verifiers need at least one vertex
-and raise ``ValueError`` (an empty ``max``) on a graph with none, as the
-compiled twin does.  ``biconnected_blocks`` has no compiled twin; it serves
+deciders, kmin, ``classify_bits``, ``classify_masks`` and the verifiers need
+at least one vertex and raise ``ValueError`` (an empty ``max``) on a graph
+with none, as the compiled twin does.  ``classify_bits`` and
+``classify_masks`` share one body, ``_classify``: the tuple (flags,
+diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word,
+flags in bits 0-7, diameter, radius and kmin a byte each above them, and
+|P(G)| from bit 32.  ``biconnected_blocks`` has no compiled twin; it serves
 ``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
 
@@ -28,6 +32,8 @@ F_HANGABLE_TRIPLES = 4
 F_SELF_CENTERED = 8
 F_BLOCK_GRAPH = 16
 F_TREE = 32
+# classify_masks adds the complement's connectivity
+F_COMPLEMENT_CONNECTED = 64
 
 # corona_verify / cartesian_verify failure codes, 0 = all statements hold
 VERIFY_OK = 0
@@ -239,15 +245,12 @@ def smallest_power_k(dist: Sequence[int], n: int) -> int:
     raise AssertionError("power at k = diameter is complete, hence hangable")
 
 
-def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
-    """One-shot classification of the edge subset ``bits`` on n vertices.
-
-    Returns (flags, diameter, radius, smallest_hangable_power); the last three
-    are -1 when the graph is disconnected (flags then carries no other bits).
-    """
-    masks = masks_from_bits(n, bits)
+def _classify(masks: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """(flags, diameter, radius, |P(G)|, kmin) of the graph ``masks``; the
+    last four are -1 when it is disconnected (flags then 0)."""
+    n = len(masks)
     if not is_connected_masks(masks):
-        return (0, -1, -1, -1)
+        return (0, -1, -1, -1, -1)
     dist = apsp(masks)
     ecc = _eccentricities(dist, n)
     diam = max(ecc)
@@ -264,7 +267,37 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     m = sum(mask.bit_count() for mask in masks) // 2
     if m == n - 1:
         flags |= F_TREE
-    return (flags, diam, radius, smallest_power_k(dist, n))
+    return (flags, diam, radius, ecc.count(diam), smallest_power_k(dist, n))
+
+
+def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
+    """One-shot classification of the edge subset ``bits`` on n vertices.
+
+    Returns (flags, diameter, radius, smallest_hangable_power); the last three
+    are -1 when the graph is disconnected (flags then carries no other bits).
+    """
+    flags, diam, radius, _, kmin = _classify(masks_from_bits(n, bits))
+    return (flags, diam, radius, kmin)
+
+
+def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, list[int] | None]:
+    """The classify fields of the graph ``masks``, and its complement's matrix.
+
+    Returns (flags, diameter, radius, |P(G)|, smallest_hangable_power,
+    complement distances): ``classify_bits``' flags and fields plus |P(G)|,
+    -1 in the four fields when the graph is disconnected; flags carry
+    F_COMPLEMENT_CONNECTED when the complement is connected, and then the
+    last item is its flat distance matrix, else None.
+    """
+    n = len(masks)
+    full = (1 << n) - 1
+    co = [full ^ 1 << v ^ mask for v, mask in enumerate(masks)]
+    flags, diam, radius, periphery, kmin = _classify(masks)
+    co_dist = None
+    if is_connected_masks(co):
+        flags |= F_COMPLEMENT_CONNECTED
+        co_dist = apsp(co)
+    return (flags, diam, radius, periphery, kmin, co_dist)
 
 
 def _corona_masks(masks_g: Sequence[int], masks_h: Sequence[int]) -> list[int]:

@@ -5,9 +5,10 @@ which is iterative, so path graphs with a hundred thousand vertices
 decompose without touching the recursion limit.  Blocks partition the edge
 set; any two blocks share at most one vertex, and the cut vertices are
 exactly the vertices in two or more blocks.  An isolated K_1 counts as one
-single-vertex block with no cut vertices.  Block-graph recognition asks the
-selected kernel, which runs the same DFS (in C up to 128 vertices) and tests
-each block for a clique.
+single-vertex block with no cut vertices.  The decomposition also answers
+whether every block is a clique, from the same pass; ``is_block_graph``,
+which needs no blocks, asks the selected kernel instead, which runs the same
+DFS (in C up to 128 vertices) and tests each block for a clique.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ class BlockDecomposition:
     # each block as a sorted vertex tuple; blocks sorted lexicographically
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: frozenset[int]
+    # every block is a clique: the answer of is_block_graph, from the same DFS
+    block_graph: bool
 
     def to_text(self, g: Graph | None = None) -> str:
         def name(v: int) -> str:
@@ -44,14 +47,22 @@ def _require_connected(g: Graph, task: str) -> None:
 
 
 def biconnected_components(g: Graph) -> BlockDecomposition:
-    """Blocks and cut vertices of a connected graph."""
+    """Blocks, cut vertices and the block-graph test of a connected graph,
+    from one DFS: a block on k vertices is a clique iff it has k(k-1)/2
+    edges."""
     _require_connected(g, "block decomposition")
     if g.n == 1:
-        return BlockDecomposition(((0,),), frozenset())
-    blocks = sorted(tuple(sorted(members)) for members, _ in biconnected_blocks(g.masks))
+        return BlockDecomposition(((0,),), frozenset(), True)
+    blocks = []
+    block_graph = True
+    for members, edges in biconnected_blocks(g.masks):
+        blocks.append(tuple(sorted(members)))
+        block_graph = block_graph and 2 * edges == len(members) * (len(members) - 1)
+    blocks.sort()
     blocks_at = Counter(chain.from_iterable(blocks))
     return BlockDecomposition(tuple(blocks),
-                              frozenset(v for v, k in blocks_at.items() if k > 1))
+                              frozenset(v for v, k in blocks_at.items() if k > 1),
+                              block_graph)
 
 
 def is_block_graph(g: Graph) -> bool:

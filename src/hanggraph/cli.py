@@ -41,13 +41,21 @@ EXIT_BUDGET = 4
 
 
 def _read_source(source: str) -> str:
+    """The text of a file, or of stdin for "-", read as bytes and decoded as
+    UTF-8 with surrogateescape whatever the locale: an invalid byte becomes a
+    lone surrogate that no parser accepts, so it ends in a parse error."""
     if source == "-":
-        return sys.stdin.read()
-    try:
-        with open(source, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise GraphInputError(f"cannot read {source!r}: {exc}") from None
+        raw = getattr(sys.stdin, "buffer", None)
+        if raw is None:  # a text-only stream, such as a StringIO
+            return sys.stdin.read()
+        data = raw.read()
+    else:
+        try:
+            with open(source, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise GraphInputError(f"cannot read {source!r}: {exc}") from None
+    return data.decode("utf-8", "surrogateescape")
 
 
 def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
@@ -274,11 +282,11 @@ def cmd_blocks(args) -> int:
     if args.format == "structured":
         _json(args, {"blocks": [list(b) for b in decomp.blocks],
                      "cut_vertices": sorted(decomp.cut_vertices),
-                     "block_graph": blocks_mod.is_block_graph(g),
+                     "block_graph": decomp.block_graph,
                      "tree": blocks_mod.is_tree(g)})
     else:
         _emit(args, decomp.to_text(g))
-        _emit(args, f"block_graph: {'yes' if blocks_mod.is_block_graph(g) else 'no'}\n")
+        _emit(args, f"block_graph: {'yes' if decomp.block_graph else 'no'}\n")
         _emit(args, f"tree: {'yes' if blocks_mod.is_tree(g) else 'no'}\n")
     return EXIT_OK
 

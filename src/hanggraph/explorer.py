@@ -1,9 +1,13 @@
 """Batch classification and brute-force search over small graphs.
 
-classify_graph fills one flat record per graph from one kernel APSP of the
-graph and one of its complement; its smallest hangable power comes from the
-kernel's ceil(d/k) transform of that one matrix.  classify_stream maps a
-graph6 stream to records in input order, turning bad lines into error
+classify_graph fills one flat record per graph from one kernel call,
+``classify_masks``, which decides connectivity, the flags, diameter, radius,
+|P(G)| and the smallest hangable power (the ceil(d/k) transform of the
+graph's one distance matrix), and returns the complement's distance matrix
+when the complement is connected.  The subset decider judges that matrix
+for the complement's hangability, so no APSP runs here, and
+self-complementarity is searched in Python.  classify_stream maps
+a graph6 stream to records in input order, turning bad lines into error
 records instead of dying.  search_hangable_subgraphs enumerates induced
 subgraphs of a host up to a subset budget.  smallest_hangable_power walks
 k = 1, 2, ... building each power explicitly: it is the independent route
@@ -19,9 +23,8 @@ from typing import Iterable, Iterator
 
 from . import graph6 as g6
 from . import kernels
-from .blocks import is_block_graph
 from .graph import Graph, GraphInputError, complement, induced_subgraph, is_connected, power
-from .metrics import check_hangable, metric_profile
+from .metrics import check_hangable
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,8 @@ class Classification:
     ``self_complementary`` is only computed for n <= 8 (backtracking search)
     and ``complement_hangable`` only when the complement is connected; both
     are None otherwise.  ``smallest_hangable_power`` is the kernel's
-    ``smallest_power_k`` (the ceil(d/k) transform of the graph's distances),
-    and ``hangable`` is ``smallest_hangable_power == 1``.
+    ceil(d/k) transform of the graph's distances, as ``smallest_power_k``
+    computes it, and ``hangable`` is ``smallest_hangable_power == 1``.
     ``error`` is set on records for unparseable input lines, ``note``
     explains missing fields.
     """
@@ -110,25 +113,23 @@ def classify_graph(g: Graph) -> Classification:
     n, m = g.n, g.m
     if n < 1:
         return Classification(n=n, m=m, connected=True, note="empty graph")
-    co = complement(g)
-    comp_hang = check_hangable(co).hangable if is_connected(co) else None
+    flags, diameter, radius, periphery_size, k, co_dist = kernels.classify_masks(g.masks)
+    comp_hang = kernels.hangable_subset(co_dist, n)[0] if co_dist is not None else None
     selfco = is_self_complementary(g)
-    if not is_connected(g):
+    if not flags & kernels.F_CONNECTED:
         return Classification(
             n=n, m=m, connected=False,
             complement_hangable=comp_hang, self_complementary=selfco,
             note="disconnected: metric fields not computed")
-    profile = metric_profile(g)
-    k = kernels.smallest_power_k(g.distances, g.n)
     return Classification(
         n=n, m=m, connected=True,
-        tree=m == n - 1,
-        block_graph=is_block_graph(g),
-        self_centered=profile.radius == profile.diameter,
+        tree=bool(flags & kernels.F_TREE),
+        block_graph=bool(flags & kernels.F_BLOCK_GRAPH),
+        self_centered=bool(flags & kernels.F_SELF_CENTERED),
         hangable=k == 1,
-        diameter=profile.diameter,
-        radius=profile.radius,
-        periphery_size=len(profile.graph_periphery),
+        diameter=diameter,
+        radius=radius,
+        periphery_size=periphery_size,
         complement_hangable=comp_hang,
         self_complementary=selfco,
         smallest_hangable_power=k)

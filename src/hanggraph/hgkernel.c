@@ -11,7 +11,9 @@
  *
  * Results that are tuples on the Python side come back packed into one
  * 64-bit integer so that no output buffer is shared between calls; see the
- * comment on each hg_* function for its layout.
+ * comment on each hg_* function for its layout.  The two classify entries
+ * share one layout: flags in bits 0-7, diameter in 8-15, radius in 16-23,
+ * kmin in 24-31, and (hg_classify_masks only) |P(G)| from bit 32.
  */
 
 #include <stdint.h>
@@ -27,7 +29,8 @@ enum {
     F_HANGABLE_TRIPLES = 4,
     F_SELF_CENTERED = 8,
     F_BLOCK_GRAPH = 16,
-    F_TREE = 32
+    F_TREE = 32,
+    F_COMPLEMENT_CONNECTED = 64
 };
 
 enum {
@@ -277,9 +280,9 @@ static int kmin_core(const int8_t *dist, int n)
 
 /* --- entry points ----------------------------------------------------------
  * The cores above stay static, and the mask walkers inline, so that under
- * -fPIC the compiler may still inline them.  Where they inline, hg_classify's
- * constant W = 1 and apsp_words' constants let it unroll the loops over
- * words. */
+ * -fPIC the compiler may still inline them.  Where they inline, the constant
+ * W of hg_classify (1), apsp_words and hg_classify_masks (1, or MAXW past 64
+ * vertices) lets it unroll the loops over words. */
 
 void hg_apsp(const uint64_t *adj, int n, int8_t *dist) { apsp_words(adj, n, dist); }
 
@@ -312,25 +315,15 @@ int64_t hg_triples(const int8_t *dist, int n)
     return (int64_t)w[0] << 14 | w[1] << 7 | w[2];
 }
 
-/* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24.
- * n <= 11, so every mask is one word. */
-int64_t hg_classify(int n, uint64_t bits)
+/* the classify fields of a connected graph with m edges and masks of W
+ * words: flags | diameter << 8 | radius << 16 | kmin << 24.  Leaves the
+ * distance matrix in dist and the eccentricities in ecc.  Always inlined,
+ * so that each caller's constant W unrolls the loops over words. */
+static inline __attribute__((always_inline)) int64_t
+classify_core(const uint64_t *adj, int n, int W, int m, int8_t *dist, int8_t *ecc)
 {
-    uint64_t adj[MAXN];
-    int8_t dist[MAXN2], ecc[MAXN];
-    int k = 0, m = 0, wv, wu, w[3];
-    for (int i = 0; i < n; i++)
-        adj[i] = 0;
-    for (int i = 0; i < n; i++)
-        for (int j = i + 1; j < n; j++, k++)
-            if ((bits >> k) & 1) {
-                adj[i] |= (uint64_t)1 << j;
-                adj[j] |= (uint64_t)1 << i;
-                m++;
-            }
-    if (!connected_core(adj, n, 1))
-        return 0;
-    apsp_core(adj, n, 1, dist);
+    int wv, wu, w[3];
+    apsp_core(adj, n, W, dist);
     ecc_core(dist, n, ecc);
     int8_t diam = 0, radius = 127;
     for (int i = 0; i < n; i++) {
@@ -346,11 +339,71 @@ int64_t hg_classify(int n, uint64_t bits)
         flags |= F_HANGABLE_TRIPLES;
     if (radius == diam)
         flags |= F_SELF_CENTERED;
-    if (block_core(adj, n, 1))
+    if (block_core(adj, n, W))
         flags |= F_BLOCK_GRAPH;
     if (m == n - 1)
         flags |= F_TREE;
     return flags | (int64_t)diam << 8 | (int64_t)radius << 16 | (int64_t)kmin_core(dist, n) << 24;
+}
+
+/* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24.
+ * n <= 11, so every mask is one word. */
+int64_t hg_classify(int n, uint64_t bits)
+{
+    uint64_t adj[MAXN];
+    int8_t dist[MAXN2], ecc[MAXN];
+    int k = 0, m = 0;
+    for (int i = 0; i < n; i++)
+        adj[i] = 0;
+    for (int i = 0; i < n; i++)
+        for (int j = i + 1; j < n; j++, k++)
+            if ((bits >> k) & 1) {
+                adj[i] |= (uint64_t)1 << j;
+                adj[j] |= (uint64_t)1 << i;
+                m++;
+            }
+    if (!connected_core(adj, n, 1))
+        return 0;
+    return classify_core(adj, n, 1, m, dist, ecc);
+}
+
+/* hg_classify on masks of W words, plus |P(G)| and the complement, whose
+ * distance matrix goes to co_dist when it is connected */
+static inline __attribute__((always_inline)) int64_t
+classify_masks_core(const uint64_t *adj, int n, int W, int8_t *co_dist)
+{
+    uint64_t co[MAXN * MAXW];
+    int8_t dist[MAXN2], ecc[MAXN];
+    int64_t flags = 0;
+    int deg = 0, periphery = 0;
+    for (int v = 0; v < n; v++)
+        for (int k = 0; k < W; k++) {
+            uint64_t a = adj[v * W + k], self = k == v >> 6 ? (uint64_t)1 << (v & 63) : 0;
+            deg += __builtin_popcountll(a);
+            co[v * W + k] = full_word(n, k) & ~a & ~self;
+        }
+    if (connected_core(co, n, W)) {
+        flags |= F_COMPLEMENT_CONNECTED;
+        apsp_core(co, n, W, co_dist);
+    }
+    if (!connected_core(adj, n, W))
+        return flags;
+    int64_t r = classify_core(adj, n, W, deg / 2, dist, ecc);
+    int8_t diam = (int8_t)(r >> 8);
+    for (int v = 0; v < n; v++)
+        periphery += ecc[v] == diam;
+    return flags | r | (int64_t)periphery << 32;
+}
+
+/* F_COMPLEMENT_CONNECTED or 0 when g is disconnected, else hg_classify's
+ * word with that flag added and |P(G)| from bit 32.  When the complement is
+ * connected its distance matrix goes to co_dist (n * n bytes), else co_dist
+ * is left as it was; n <= 128 */
+int64_t hg_classify_masks(const uint64_t *adj, int n, int8_t *co_dist)
+{
+    if (n <= 64)
+        return classify_masks_core(adj, n, 1, co_dist);
+    return classify_masks_core(adj, n, MAXW, co_dist);
 }
 
 /* builds the corona G o H (copy v of H hangs off base vertex v) and checks

@@ -7,7 +7,7 @@ the compiled kernel cannot be built or loaded, everything goes to the pure
 twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
 twin without trying the build.  ``BACKEND`` names the backend in use and
 ``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
-error that kept the compiled kernel out.  The ten kernel names here are the
+error that kept the compiled kernel out.  The eleven kernel names here are the
 selected module's own functions; both modules implement the same signatures
 and are equivalence-tested against each other.
 """
@@ -18,6 +18,7 @@ import os
 
 from ._pykernel import (  # re-exported contract constants
     F_BLOCK_GRAPH,
+    F_COMPLEMENT_CONNECTED,
     F_CONNECTED,
     F_HANGABLE,
     F_HANGABLE_TRIPLES,
@@ -53,10 +54,12 @@ _c, BACKEND_REASON = _load_compiled()
 BACKEND = "compiled" if _c is not None else "pure"
 
 if _c is not None:
-    from ._ckernel import (apsp, cartesian_verify, classify_bits, corona_verify,
-                           hangable_subset, hangable_triples, is_block_graph_masks,
-                           is_connected_masks, join_verify, smallest_power_k)
+    from ._ckernel import (apsp, cartesian_verify, classify_bits, classify_masks,
+                           corona_verify, hangable_subset, hangable_triples,
+                           is_block_graph_masks, is_connected_masks, join_verify,
+                           smallest_power_k)
 else:
-    from ._pykernel import (apsp, cartesian_verify, classify_bits, corona_verify,
-                            hangable_subset, hangable_triples, is_block_graph_masks,
-                            is_connected_masks, join_verify, smallest_power_k)
+    from ._pykernel import (apsp, cartesian_verify, classify_bits, classify_masks,
+                            corona_verify, hangable_subset, hangable_triples,
+                            is_block_graph_masks, is_connected_masks, join_verify,
+                            smallest_power_k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -13,6 +14,7 @@ from hanggraph import (
     check_hangable,
     from_edge_list,
     is_block_graph,
+    is_connected,
     is_tree,
 )
 from hanggraph.corpus import iter_graphs, random_block_graph, random_connected_graph, random_tree
@@ -123,6 +125,21 @@ def test_fig_g_not_block_graph(fig_g):
     assert not is_block_graph(fig_g)
 
 
+def test_decomposition_block_graph_matches_is_block_graph(one_labeling_per_class):
+    # the decomposition's flag comes from its own DFS pass; is_block_graph
+    # asks the kernel (compiled up to 128 vertices).  Every labeled graph to
+    # n = 5, every isomorphism class at n = 6, and graphs past 128 vertices.
+    graphs = chain.from_iterable(iter_graphs(n, connected_only=True) for n in range(1, 6))
+    graphs = chain(graphs, filter(is_connected, one_labeling_per_class(6)),
+                   [path(300), cycle(300), complete(130)])
+    seen = set()
+    for g in graphs:
+        flag = biconnected_components(g).block_graph
+        assert flag == is_block_graph(g), g
+        seen.add(flag)
+    assert seen == {False, True}
+
+
 def test_block_graph_matches_decomposition_reference(block_graph_reference):
     # exhaustive to n = 5, then random graphs on both sides of 64 vertices
     graphs = list(iter_graphs(5, connected_only=True))
@@ -135,6 +152,7 @@ def test_block_graph_matches_decomposition_reference(block_graph_reference):
     for g in graphs:
         expected = block_graph_reference(g)
         assert is_block_graph(g) == expected
+        assert biconnected_components(g).block_graph == expected
         hits += expected
     assert 0 < hits < len(graphs)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -109,6 +110,64 @@ def test_analyze_stdin(monkeypatch, capsys):
     code, out = run(capsys, "analyze", "-")
     assert code == 0
     assert "hangable: yes" in out
+
+
+INVALID_UTF8 = b"\xff\xfe\n"
+
+# every command that reads a graph file, "{}" standing for the file
+FILE_COMMANDS = {
+    "analyze": ["analyze", "{}"],
+    "product-g": ["product", "corona", "{}", "path:2"],
+    "product-h": ["product", "join", "cycle:3", "{}"],
+    "embed": ["embed", "{}"],
+    "power": ["power", "{}", "2"],
+    "power-smallest": ["power", "{}", "--smallest"],
+    "blocks": ["blocks", "{}"],
+    "subgraph-search": ["subgraph-search", "{}"],
+}
+
+
+def byte_stdin(monkeypatch, data: bytes) -> None:
+    # a strict UTF-8 text layer, as under a UTF-8 locale
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS.values(), ids=FILE_COMMANDS)
+def test_invalid_utf8_file_exits_2(tmp_path, capsys, argv):
+    p = tmp_path / "bad.g6"
+    p.write_bytes(INVALID_UTF8)
+    code = main([arg.format(p) for arg in argv])
+    assert (code, capsys.readouterr().err) == (2, "error: invalid leading byte '\\udcff' (byte offset 0)\n")
+
+
+def test_invalid_utf8_stdin_exits_2(monkeypatch, capsys):
+    byte_stdin(monkeypatch, INVALID_UTF8)
+    assert main(["analyze", "-"]) == 2
+    assert "invalid leading byte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_invalid_utf8_classify_error_record(tmp_path, monkeypatch, capsys, source):
+    data = INVALID_UTF8 + b"Ch\n"
+    if source == "file":
+        p = tmp_path / "bad.g6"
+        p.write_bytes(data)
+        arg = str(p)
+    else:
+        byte_stdin(monkeypatch, data)
+        arg = "-"
+    code, out = run(capsys, "classify", arg, "--format", "structured")
+    bad, good = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert bad["error"] == "invalid leading byte '\\udcff' (byte offset 0)"
+    assert good["error"] is None and good["n"] == 4
+
+
+def test_invalid_utf8_in_comment_is_ignored(tmp_path, capsys):
+    p = tmp_path / "g.txt"
+    p.write_bytes(b"# caf\xe9\n" + FIG_G_TEXT.encode())
+    code, out = run(capsys, "analyze", str(p))
+    assert code == 0 and "hangable: yes" in out
 
 
 def test_analyze_graph6_file(tmp_path, capsys):
@@ -367,10 +426,15 @@ def test_blocks_one_decomposition(monkeypatch, capsys, fmt):
         calls.append(g.n)
         return decompose(g)
 
+    def refuse(masks):
+        raise AssertionError("the decomposition's DFS already answered")
+
     monkeypatch.setattr(blocks, "biconnected_components", counting)
-    code, out = run(capsys, "blocks", "grid:3x4", "--format", fmt)
-    assert code == 0 and "block_graph" in out
-    assert calls == [12]
+    monkeypatch.setattr(kernels, "is_block_graph_masks", refuse)
+    for expr in ("grid:3x4", "path:300"):  # is_block_graph is pure past 128 vertices
+        code, out = run(capsys, "blocks", expr, "--format", fmt)
+        assert code == 0 and "block_graph" in out
+    assert calls == [12, 300]
 
 
 def test_blocks_structured(capsys):

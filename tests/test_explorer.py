@@ -12,7 +12,10 @@ from hanggraph import (
     check_hangable,
     complement,
     from_edge_list,
+    is_block_graph,
+    is_connected,
     kernels,
+    metric_profile,
     search_hangable_subgraphs,
     smallest_hangable_power,
     to_graph6,
@@ -21,6 +24,7 @@ from hanggraph.corpus import graph_from_bits, iter_graphs, pair_count
 from hanggraph.explorer import (
     COLUMNS,
     BudgetExceededError,
+    Classification,
     classify_graph,
     classify_stream,
     is_self_complementary,
@@ -160,23 +164,73 @@ def test_self_complementary_n8_degree_matched_negatives():
         checked += 1
 
 
-def test_classify_graph_one_apsp_per_graph(monkeypatch, fig_h):
+def test_classify_graph_one_classify_masks_call(monkeypatch, fig_h):
     calls = []
-    apsp = kernels.apsp
+    backend = ("hanggraph._ckernel", "hanggraph._pykernel")
+    names = [name for name, fn in vars(kernels).items()
+             if callable(fn) and getattr(fn, "__module__", None) in backend]
+    assert "classify_masks" in names and "apsp" in names
+    for name in names:
+        def counting(*args, _name=name, _fn=getattr(kernels, name)):
+            calls.append(_name)
+            return _fn(*args)
 
-    def counting_apsp(masks):
-        calls.append(masks)
-        return apsp(masks)
+        monkeypatch.setattr(kernels, name, counting)
+    # no apsp call: the complement's matrix comes back from classify_masks,
+    # and only the subset decider runs on it, when the complement is connected
+    for g, complement_connected in ((cycle(5), True), (path(4), True), (fig_h, False),
+                                    (from_edge_list(4, [(0, 1)]), True),
+                                    (complete(1), True), (complete(3), False)):
+        calls.clear()
+        classify_graph(g)
+        assert calls == ["classify_masks"] + ["hangable_subset"] * complement_connected, g
 
-    monkeypatch.setattr(kernels, "apsp", counting_apsp)
-    p4 = path(4)  # hangable, with a connected complement
-    classify_graph(p4)
-    assert sorted(calls) == sorted([p4.masks, complement(p4).masks])
-    # not hangable, with a disconnected complement: kmin comes from the
-    # graph's own matrix, so its square is never built or searched
-    calls.clear()
-    classify_graph(fig_h)
-    assert calls == [fig_h.masks]
+
+def classify_by_separate_calls(g):
+    """classify_graph's record the way it was assembled before the one-call
+    kernel: a public call per field, the complement built and decided on its
+    own, and the smallest hangable power found by building each power."""
+    n, m = g.n, g.m
+    co = complement(g)
+    comp_hang = check_hangable(co).hangable if is_connected(co) else None
+    selfco = is_self_complementary(g)
+    if not is_connected(g):
+        return Classification(
+            n=n, m=m, connected=False,
+            complement_hangable=comp_hang, self_complementary=selfco,
+            note="disconnected: metric fields not computed")
+    profile = metric_profile(g)
+    return Classification(
+        n=n, m=m, connected=True,
+        tree=m == n - 1,
+        block_graph=is_block_graph(g),
+        self_centered=profile.radius == profile.diameter,
+        hangable=check_hangable(g).hangable,
+        diameter=profile.diameter,
+        radius=profile.radius,
+        periphery_size=len(profile.graph_periphery),
+        complement_hangable=comp_hang,
+        self_complementary=selfco,
+        smallest_hangable_power=smallest_hangable_power(g))
+
+
+def test_classify_graph_matches_separate_calls(one_labeling_per_class):
+    # every labeled graph to n = 5, every isomorphism class at n = 6 (the
+    # record is invariant under relabeling), then seeded graphs past 6
+    graphs = [g for n in range(1, 6) for g in iter_graphs(n)]
+    graphs += one_labeling_per_class(6)
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(7, 12)
+        graphs.append(graph_from_bits(n, rng.getrandbits(pair_count(n))
+                                      & rng.getrandbits(pair_count(n))))  # density 1/4
+        graphs.append(graph_from_bits(n, rng.getrandbits(pair_count(n))))
+    kmins = set()
+    for g in graphs:
+        rec = classify_graph(g)
+        assert rec == classify_by_separate_calls(g), g
+        kmins.add(rec.smallest_hangable_power)
+    assert {None, 1, 2, 3} <= kmins
 
 
 def test_self_complementary_needs_half_edges():

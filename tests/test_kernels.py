@@ -156,6 +156,68 @@ def test_backends_agree_exhaustive_n5():
             kernel.classify_bits(0, 0)
 
 
+def classify_masks_lists(kernel, masks):
+    """``kernel.classify_masks`` with the complement's matrix as a list."""
+    *fields, co_dist = kernel.classify_masks(masks)
+    return (*fields, None if co_dist is None else list(co_dist))
+
+
+@compiled
+def test_backends_agree_classify_masks_exhaustive_n5():
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for bits in all_bits(n):
+            masks = pyk.masks_from_bits(n, bits)
+            result = classify_masks_lists(ck, masks)
+            assert result == classify_masks_lists(pyk, masks)
+            flags, diam, radius, periphery, kmin, co_dist = result
+            # classify_bits' word is part of classify_masks'
+            flags_g = flags & ~pyk.F_COMPLEMENT_CONNECTED
+            assert (flags_g, diam, radius, kmin) == ck.classify_bits(n, bits)
+            co = [full ^ 1 << v ^ mask for v, mask in enumerate(masks)]
+            if pyk.is_connected_masks(co):
+                assert flags & pyk.F_COMPLEMENT_CONNECTED and co_dist == pyk.apsp(co)
+            else:
+                assert not flags & pyk.F_COMPLEMENT_CONNECTED and co_dist is None
+            if flags & pyk.F_CONNECTED:
+                dist = pyk.apsp(masks)
+                ecc = [max(dist[v * n:(v + 1) * n]) for v in range(n)]
+                assert periphery == ecc.count(diam)
+    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
+        with pytest.raises(ValueError):
+            kernel.classify_masks([])
+
+
+@compiled
+def test_backends_agree_classify_masks_random():
+    # one word per mask up to 64 vertices, two past it
+    rng = random.Random(37)
+    graphs = [rand_masks(rng, rng.randint(7, 64), p)
+              for p in (0.03, 0.1, 0.3, 0.5, 0.8, 0.97) for _ in range(8)]
+    graphs += [random_connected_graph(n, rng, p).masks for n, p in ((64, 0.0), (64, 0.05))]
+    graphs += [rand_masks(rng, n, p) for n, p in ((70, 0.04), (100, 0.5), (128, 0.98))]
+    graphs += [random_connected_graph(n, rng, p).masks
+               for n, p in ((65, 0.0), (90, 0.02), (110, 0.97), (128, 0.1))]
+    kinds = set()
+    for masks in graphs:
+        result = classify_masks_lists(ck, masks)
+        assert result == classify_masks_lists(pyk, masks)
+        kinds.add((len(masks) > 64, result[0] & (pyk.F_CONNECTED | pyk.F_COMPLEMENT_CONNECTED)))
+    # disconnected, connected with a disconnected complement, and both
+    # connected, each at one and at two words per mask
+    assert len(kinds) == 6, kinds
+
+
+@compiled
+def test_backends_agree_classify_masks_past_128(monkeypatch):
+    # past 128 vertices the compiled module hands the graph to the pure twin
+    twin, calls = pyk.classify_masks, []
+    monkeypatch.setattr(pyk, "classify_masks", lambda masks: calls.append(len(masks)) or twin(masks))
+    masks = random_connected_graph(130, random.Random(41), 0.02).masks
+    assert ck.classify_masks(masks) == twin(masks)
+    assert calls == [130]
+
+
 @compiled
 def test_backends_agree_random_shapes():
     rng = random.Random(3)

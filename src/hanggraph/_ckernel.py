@@ -24,7 +24,9 @@ sequence (the pure twin's list, a test's tuple) takes the same conversion.  A ma
 first, so C serves every graph up to ``MAXN`` = 128 vertices, where a
 distance still fits a signed byte.  Larger graphs (past 11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
-are sent to the pure twin here, so any input gets the pure answer.  Like the
+are sent to the pure twin here, so any input gets the pure answer; the twin
+is imported on the first such call, so a process that sends none never loads
+it.  Flag bits come from ``_contract``, as the twin's do.  Like the
 pure twin, every call that decides something about a graph with no vertices
 (a distance matrix of ``n`` = 0, ``classify_bits(0, ...)``, an empty join)
 raises ``ValueError`` before C sees it.
@@ -41,7 +43,7 @@ from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
 from typing import Sequence
 
-from . import _pykernel as _py
+from ._contract import F_COMPLEMENT_CONNECTED, F_CONNECTED
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hgkernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -162,6 +164,12 @@ except (OSError, AttributeError) as exc:
     raise ImportError(f"compiled kernel unavailable: {exc}") from exc
 
 
+def _py():
+    """The pure twin, imported on the first call that needs it."""
+    from . import _pykernel
+    return _pykernel
+
+
 def _masks(masks: Sequence[int]) -> bytes:
     """Each mask as W = ceil(n / 64) words, low word first, vertex after
     vertex; callers send at most MAXN vertices, so W is 1 or 2."""
@@ -180,7 +188,7 @@ def apsp(masks: Sequence[int]) -> Sequence[int]:
     """The pure twin's list past MAXN vertices, else the ``array('b')`` C fills."""
     n = len(masks)
     if n > MAXN:
-        return _py.apsp(masks)
+        return _py().apsp(masks)
     dist = array("b", bytes(n * n))  # named, so it outlives the call that fills it
     _apsp(_masks(masks), n, dist.buffer_info()[0])
     return dist
@@ -188,13 +196,13 @@ def apsp(masks: Sequence[int]) -> Sequence[int]:
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
     if len(masks) > MAXN:
-        return _py.is_connected_masks(masks)
+        return _py().is_connected_masks(masks)
     return bool(_connected(_masks(masks), len(masks)))
 
 
 def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     if n > MAXN:
-        return _py.hangable_subset(dist, n)
+        return _py().hangable_subset(dist, n)
     r = _subset(_dist(dist, n), n)
     return (True, -1, -1) if r < 0 else (False, r >> 7, r & 127)
 
@@ -202,27 +210,27 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
 def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     """Mirror of the pure hangable_triples: the first violating triple or -1s."""
     if n > MAXN:
-        return _py.hangable_triples(dist, n)
+        return _py().hangable_triples(dist, n)
     r = _triples(_dist(dist, n), n)
     return (True, -1, -1, -1) if r < 0 else (False, r >> 14, r >> 7 & 127, r & 127)
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:
     if len(masks) > MAXN:
-        return _py.is_block_graph_masks(masks)
+        return _py().is_block_graph_masks(masks)
     return bool(_block(_masks(masks), len(masks)))
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
     if n > MAXN:
-        return _py.smallest_power_k(dist, n)
+        return _py().smallest_power_k(dist, n)
     return _kmin(_dist(dist, n), n)
 
 
 def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     """Mirror of the pure classify_bits; n is capped so bits fit a word."""
     if n > MAX_CLASSIFY_N:
-        return _py.classify_bits(n, bits)
+        return _py().classify_bits(n, bits)
     if n < 1:
         raise ValueError("classify_bits needs at least one vertex")
     r = _classify(n, bits)
@@ -238,14 +246,14 @@ def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, Seque
     the complement's matrix into the ``array('b')`` returned last."""
     n = len(masks)
     if n > MAXN:
-        return _py.classify_masks(masks)
+        return _py().classify_masks(masks)
     if n < 1:
         raise ValueError("classify_masks needs at least one vertex")
     co_dist = array("b", bytes(n * n))
     r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0])
-    if not r & _py.F_COMPLEMENT_CONNECTED:
+    if not r & F_COMPLEMENT_CONNECTED:
         co_dist = None
-    if not r & _py.F_CONNECTED:
+    if not r & F_CONNECTED:
         return (r, -1, -1, -1, -1, co_dist)
     return (r & 255, r >> 8 & 255, r >> 16 & 255, r >> 32, r >> 24 & 255, co_dist)
 
@@ -255,7 +263,7 @@ def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
     """Mirror of the pure corona_verify."""
     ng, nh = len(masks_g), len(masks_h)
     if max(nh, ng * (1 + nh)) > MAXN:
-        return _py.corona_verify(masks_g, dist_g, masks_h)
+        return _py().corona_verify(masks_g, dist_g, masks_h)
     return _corona(_masks(masks_g), ng, _dist(dist_g, ng), _masks(masks_h), nh)
 
 
@@ -264,7 +272,7 @@ def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
     """Mirror of the pure cartesian_verify."""
     ng, nh = len(masks_g), len(masks_h)
     if max(ng, nh, ng * nh) > MAXN:
-        return _py.cartesian_verify(masks_g, dist_g, masks_h, dist_h)
+        return _py().cartesian_verify(masks_g, dist_g, masks_h, dist_h)
     return _cartesian(_masks(masks_g), ng, _dist(dist_g, ng),
                       _masks(masks_h), nh, _dist(dist_h, nh))
 
@@ -273,7 +281,7 @@ def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     """Mirror of the pure join_verify."""
     ng, nh = len(masks_g), len(masks_h)
     if ng + nh > MAXN:
-        return _py.join_verify(masks_g, masks_h)
+        return _py().join_verify(masks_g, masks_h)
     if ng + nh < 1:
         raise ValueError("join_verify needs at least one vertex")
     return _join(_masks(masks_g), ng, _masks(masks_h), nh)

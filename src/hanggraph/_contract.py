@@ -1,0 +1,26 @@
+"""Constants of the kernel contract that both backends share.
+
+``_pykernel`` and ``_ckernel`` return the same flag bits and verifier codes,
+and ``kernels`` re-exports them.  They live here, apart from either backend,
+so that reading them loads neither: a process on the compiled kernel never
+needs the pure twin's source.  ``hgkernel.c`` defines the same values.
+"""
+
+# classify_bits flag bits
+F_CONNECTED = 1
+F_HANGABLE = 2
+F_HANGABLE_TRIPLES = 4
+F_SELF_CENTERED = 8
+F_BLOCK_GRAPH = 16
+F_TREE = 32
+# classify_masks adds the complement's connectivity
+F_COMPLEMENT_CONNECTED = 64
+
+# corona_verify / cartesian_verify failure codes, 0 = all statements hold
+VERIFY_OK = 0
+VERIFY_DISTANCE = 1
+VERIFY_ECCENTRICITY = 2
+VERIFY_DIAMETER = 3
+VERIFY_VERTEX_PERIPHERY = 4
+VERIFY_GRAPH_PERIPHERY = 5
+VERIFY_HANGABLE = 6

@@ -10,14 +10,20 @@ The pure ``apsp`` keeps lists: it serves every graph past 128 vertices,
 where a distance can exceed a signed byte.
 
 Python ints double as unbounded bitsets, so this backend has no vertex limit;
-``_ckernel`` hands it the graphs past its 128 vertices.  The
+``_ckernel`` hands it the graphs past its 128 vertices.  This module loads
+when it is first needed: at import of ``kernels`` on the pure backend; on
+the compiled one, when ``_ckernel`` first sends it a graph or
+``blocks.biconnected_components`` first runs.  The flag bits and verifier
+codes come from ``_contract``, which both backends share.  The
 deciders, kmin, ``classify_bits``, ``classify_masks`` and the verifiers need
 at least one vertex and raise ``ValueError`` (an empty ``max``) on a graph
 with none, as the compiled twin does.  ``classify_bits`` and
 ``classify_masks`` share one body, ``_classify``: the tuple (flags,
 diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word,
 flags in bits 0-7, diameter, radius and kmin a byte each above them, and
-|P(G)| from bit 32.  ``biconnected_blocks`` has no compiled twin; it serves
+|P(G)| from bit 32; it computes the eccentricities once for both deciders
+and takes kmin = 1 from the subset verdict it already has.
+``biconnected_blocks`` has no compiled twin; it serves
 ``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
 
@@ -25,24 +31,10 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-# classify_bits flag bits
-F_CONNECTED = 1
-F_HANGABLE = 2
-F_HANGABLE_TRIPLES = 4
-F_SELF_CENTERED = 8
-F_BLOCK_GRAPH = 16
-F_TREE = 32
-# classify_masks adds the complement's connectivity
-F_COMPLEMENT_CONNECTED = 64
-
-# corona_verify / cartesian_verify failure codes, 0 = all statements hold
-VERIFY_OK = 0
-VERIFY_DISTANCE = 1
-VERIFY_ECCENTRICITY = 2
-VERIFY_DIAMETER = 3
-VERIFY_VERTEX_PERIPHERY = 4
-VERIFY_GRAPH_PERIPHERY = 5
-VERIFY_HANGABLE = 6
+from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
+                        F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_TREE, VERIFY_DIAMETER,
+                        VERIFY_DISTANCE, VERIFY_ECCENTRICITY, VERIFY_GRAPH_PERIPHERY,
+                        VERIFY_HANGABLE, VERIFY_OK, VERIFY_VERTEX_PERIPHERY)
 
 
 def masks_from_bits(n: int, bits: int) -> list[int]:
@@ -120,7 +112,12 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     pair where u attains v's eccentricity but not the diameter.
     """
     ecc = _eccentricities(dist, n)
-    diam = max(ecc)
+    return _subset(dist, n, ecc, max(ecc))
+
+
+def _subset(dist: Sequence[int], n: int, ecc: list[int],
+            diam: int) -> tuple[bool, int, int]:
+    """``hangable_subset`` given the matrix's eccentricities and diameter."""
     for v in range(n):
         base = v * n
         ev = ecc[v]
@@ -138,7 +135,12 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     (False, v, u, w) for the lexicographically first violating triple.
     """
     ecc = _eccentricities(dist, n)
-    diam = max(ecc)
+    return _triples(dist, n, ecc, max(ecc))
+
+
+def _triples(dist: Sequence[int], n: int, ecc: list[int],
+             diam: int) -> tuple[bool, int, int, int]:
+    """``hangable_triples`` given the matrix's eccentricities and diameter."""
     for v in range(n):
         base = v * n
         ev = ecc[v]
@@ -234,10 +236,13 @@ def smallest_power_k(dist: Sequence[int], n: int) -> int:
     where the power is complete.
     """
     diam = max(dist)
-    if diam <= 1:
+    if diam <= 1 or hangable_subset(dist, n)[0]:
         return 1
-    if hangable_subset(dist, n)[0]:
-        return 1
+    return _smallest_power_above_1(dist, n, diam)
+
+
+def _smallest_power_above_1(dist: Sequence[int], n: int, diam: int) -> int:
+    """``smallest_power_k`` of a matrix whose own subset verdict is False."""
     for k in range(2, diam + 1):
         dk = [(d + k - 1) // k for d in dist]
         if hangable_subset(dk, n)[0]:
@@ -256,9 +261,10 @@ def _classify(masks: Sequence[int]) -> tuple[int, int, int, int, int]:
     diam = max(ecc)
     radius = min(ecc)
     flags = F_CONNECTED
-    if hangable_subset(dist, n)[0]:
+    hangable = _subset(dist, n, ecc, diam)[0]
+    if hangable:
         flags |= F_HANGABLE
-    if hangable_triples(dist, n)[0]:
+    if _triples(dist, n, ecc, diam)[0]:
         flags |= F_HANGABLE_TRIPLES
     if radius == diam:
         flags |= F_SELF_CENTERED
@@ -267,7 +273,8 @@ def _classify(masks: Sequence[int]) -> tuple[int, int, int, int, int]:
     m = sum(mask.bit_count() for mask in masks) // 2
     if m == n - 1:
         flags |= F_TREE
-    return (flags, diam, radius, ecc.count(diam), smallest_power_k(dist, n))
+    kmin = 1 if hangable else _smallest_power_above_1(dist, n, diam)
+    return (flags, diam, radius, ecc.count(diam), kmin)
 
 
 def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:

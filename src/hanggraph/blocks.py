@@ -14,16 +14,14 @@ DFS (in C up to 128 vertices) and tests each block for a clique.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from . import kernels
-from ._pykernel import biconnected_blocks
 from .graph import Graph, GraphInputError, require_connected
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     # each block as a sorted vertex tuple; blocks sorted lexicographically
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: frozenset[int]
@@ -53,6 +51,7 @@ def biconnected_components(g: Graph) -> BlockDecomposition:
     _require_connected(g, "block decomposition")
     if g.n == 1:
         return BlockDecomposition(((0,),), frozenset(), True)
+    from ._pykernel import biconnected_blocks  # the one Python DFS; loaded on first use
     blocks = []
     block_graph = True
     for members, edges in biconnected_blocks(g.masks):

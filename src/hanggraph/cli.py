@@ -16,7 +16,6 @@ budget refused.  All normal output is deterministic: same input, same bytes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from functools import cache
@@ -81,7 +80,7 @@ def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
                 f"--labels gives {len(labels)} names for {g.n} vertices")
         if len(set(labels)) != len(labels):
             raise GraphInputError("--labels must be unique")
-        g = dataclasses.replace(g, labels=tuple(labels))
+        g = Graph(g.n, g.masks, tuple(labels))
     return g
 
 

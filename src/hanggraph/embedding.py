@@ -16,16 +16,14 @@ The construction is case split, not search:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graph import Graph, GraphInputError, disjoint_union, induced_subgraph, is_connected
 from .metrics import check_hangable
 from .products import join, universal_vertices
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
+class EmbeddingResult(NamedTuple):
     supergraph: Graph
     injection: tuple[int, ...]  # image of input vertex i
     branch: str  # "identity" | "cone" | "split-cone"

@@ -17,9 +17,8 @@ the tests hold the kernel's transform against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import graph6 as g6
 from . import kernels
@@ -27,8 +26,7 @@ from .graph import Graph, GraphInputError, complement, induced_subgraph, is_conn
 from .metrics import check_hangable
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """One record per graph; metric fields are None when undefined.
 
     ``self_complementary`` is only computed for n <= 8 (backtracking search)
@@ -71,10 +69,15 @@ def is_self_complementary(g: Graph) -> bool | None:
     same degree whose adjacency to the vertices already mapped agrees.
     Returns None above SELF_COMPLEMENTARY_MAX_N vertices (not computed).
     """
+    return _self_complementary(g, g.m)
+
+
+def _self_complementary(g: Graph, m: int) -> bool | None:
+    """``is_self_complementary`` of g, which has m edges."""
     n = g.n
     if n > SELF_COMPLEMENTARY_MAX_N:
         return None
-    if n * (n - 1) // 2 != 2 * g.m:
+    if n * (n - 1) // 2 != 2 * m:
         return False
     masks = g.masks
     cmasks = complement(g).masks
@@ -115,7 +118,7 @@ def classify_graph(g: Graph) -> Classification:
         return Classification(n=n, m=m, connected=True, note="empty graph")
     flags, diameter, radius, periphery_size, k, co_dist = kernels.classify_masks(g.masks)
     comp_hang = kernels.hangable_subset(co_dist, n)[0] if co_dist is not None else None
-    selfco = is_self_complementary(g)
+    selfco = _self_complementary(g, m)
     if not flags & kernels.F_CONNECTED:
         return Classification(
             n=n, m=m, connected=False,
@@ -154,16 +157,14 @@ class BudgetExceededError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SizeCount:
+class SizeCount(NamedTuple):
     size: int
     subsets: int
     connected: int
     hangable: int
 
 
-@dataclass(frozen=True)
-class SubgraphSearchReport:
+class SubgraphSearchReport(NamedTuple):
     mode: str
     max_vertices: int
     sizes: tuple[SizeCount, ...]

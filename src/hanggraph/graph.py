@@ -10,11 +10,11 @@ affect structure.  All operations return new graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
+from ._record import Record, set_field
 
 
 class GraphInputError(ValueError):
@@ -44,11 +44,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     n: int
     masks: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None
+    _fields = ("n", "masks", "labels")
+
+    def __init__(self, n: int, masks: tuple[int, ...],
+                 labels: tuple[str, ...] | None = None):
+        set_field(self, "n", n)
+        set_field(self, "masks", masks)
+        set_field(self, "labels", labels)
 
     @property
     def m(self) -> int:

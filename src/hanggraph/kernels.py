@@ -9,14 +9,17 @@ twin without trying the build.  ``BACKEND`` names the backend in use and
 ``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
 error that kept the compiled kernel out.  The eleven kernel names here are the
 selected module's own functions; both modules implement the same signatures
-and are equivalence-tested against each other.
+and are equivalence-tested against each other.  The flag bits and verifier
+codes are re-exported from ``_contract``, so on the compiled backend this
+module never imports ``_pykernel``; ``_ckernel`` loads it on its first
+fallback.
 """
 
 from __future__ import annotations
 
 import os
 
-from ._pykernel import (  # re-exported contract constants
+from ._contract import (  # re-exported contract constants
     F_BLOCK_GRAPH,
     F_COMPLEMENT_CONNECTED,
     F_CONNECTED,

@@ -20,17 +20,21 @@ flat matrix is kept on the graph and shared by the profile and both deciders.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
+from ._record import Record, set_field
 from .graph import Graph, GraphInputError, disconnected_error
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Record):
     n: int
     rows: tuple[tuple[int, ...], ...]
+    _fields = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
+        set_field(self, "n", n)
+        set_field(self, "rows", rows)
 
     def dist(self, u: int, v: int) -> int:
         return self.rows[u][v]
@@ -42,8 +46,7 @@ class DistanceMatrix:
         return max(self.rows[v])
 
 
-@dataclass(frozen=True)
-class MetricProfile:
+class MetricProfile(NamedTuple):
     eccentricity: tuple[int, ...]
     diameter: int
     radius: int
@@ -51,8 +54,7 @@ class MetricProfile:
     graph_periphery: frozenset[int]
 
 
-@dataclass(frozen=True)
-class HangabilityReport:
+class HangabilityReport(NamedTuple):
     hangable: bool
     # (v, u): u lies in P(v) but not in P(G); lexicographically first such pair
     witness: tuple[int, int] | None = None

@@ -22,14 +22,14 @@ distances, eccentricities and the diameter add, and peripheries multiply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from ._record import Record, set_field
 from .graph import Graph, GraphInputError, _build
 from .metrics import DistanceMatrix, MetricProfile, all_pairs_distances, metric_profile
 
 
-@dataclass(frozen=True)
-class ProductVertexMap:
+class ProductVertexMap(NamedTuple):
     """Vertex numbering of a product; entries[i] tags product vertex i.
 
     Tags: ("g", v) original vertex of the first factor, ("h", x) of the
@@ -188,8 +188,7 @@ def corona_distance_matrix(dist_g: DistanceMatrix, h: Graph) -> list[int]:
     return flat
 
 
-@dataclass(frozen=True)
-class CoronaMetrics:
+class CoronaMetrics(NamedTuple):
     diameter: int
     vertex_periphery: tuple[frozenset[int], ...]
     graph_periphery: frozenset[int]
@@ -225,14 +224,26 @@ def corona_metric_oracle(g: Graph, h: Graph,
         graph_periphery=copies(g_profile.graph_periphery))
 
 
-@dataclass(frozen=True)
-class CartesianMetrics:
+class CartesianMetrics(Record):
     eccentricity: tuple[int, ...]
     diameter: int
     vertex_periphery: tuple[frozenset[int], ...]
     graph_periphery: frozenset[int]
     _dist_g: DistanceMatrix
     _dist_h: DistanceMatrix
+    _fields = ("eccentricity", "diameter", "vertex_periphery", "graph_periphery",
+               "_dist_g", "_dist_h")
+
+    def __init__(self, eccentricity: tuple[int, ...], diameter: int,
+                 vertex_periphery: tuple[frozenset[int], ...],
+                 graph_periphery: frozenset[int],
+                 _dist_g: DistanceMatrix, _dist_h: DistanceMatrix):
+        set_field(self, "eccentricity", eccentricity)
+        set_field(self, "diameter", diameter)
+        set_field(self, "vertex_periphery", vertex_periphery)
+        set_field(self, "graph_periphery", graph_periphery)
+        set_field(self, "_dist_g", _dist_g)
+        set_field(self, "_dist_h", _dist_h)
 
     def distance(self, p: int, q: int) -> int:
         nh = self._dist_h.n

@@ -178,6 +178,15 @@ def test_analyze_graph6_file(tmp_path, capsys):
     assert "self_centered: yes" in out
 
 
+@pytest.mark.parametrize("name, text", [("p3.txt", "3 2\n0 1\n1 2\n"), ("p3.g6", "Bg\n")])
+def test_analyze_labels_on_either_format(tmp_path, capsys, name, text):
+    p = tmp_path / name
+    p.write_text(text)
+    code, out = run(capsys, "analyze", str(p), "--labels", "a,b,c")
+    assert code == 0
+    assert "vertex a: ecc=2 periphery={c}\n" in out and "periphery: {a, c}\n" in out
+
+
 def test_analyze_parse_error_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("3 2\n0 1\n")
@@ -615,6 +624,13 @@ print(json.dumps({"backend": kernels.BACKEND, "runs": runs}))
 """
 
 
+def child_env(**extra: str) -> dict:
+    """This environment plus ``extra``, with this checkout's package first on the path."""
+    src = str(Path(kernels.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
     goldens = {"text": "classify_golden.tsv", "structured": "classify_golden.jsonl"}
     classify = [["classify", str(DATA / "classify_corpus.g6"), "--format", fmt]
@@ -624,12 +640,10 @@ def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
               ["product", "corona", "path:3", "complete:2", "--oracle-check"],
               ["product", "cartesian", "path:3", "cycle:3", "--oracle-check"],
               ["product", "join", "complete:1", "path:4", "--oracle-check"]]
-    src = str(Path(kernels.__file__).resolve().parent.parent)
-    env = dict(os.environ, HANGGRAPH_PURE="1",
-               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", PURE_CHILD, json.dumps(classify + others)],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=child_env(HANGGRAPH_PURE="1"), capture_output=True, text=True,
+                          timeout=60)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr
     child = json.loads(proc.stdout)
@@ -640,3 +654,22 @@ def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
     for argv, pure in zip(others, child["runs"][len(classify):]):
         assert pure == list(run(capsys, *argv)), argv
     assert elapsed < 3.0, f"pure-backend CLI runs took {elapsed:.2f} s"
+
+
+# A CLI process imports only what its command runs on: no dataclasses (which
+# loads inspect, ast and dis), and on the compiled backend no pure kernel.
+@pytest.mark.parametrize("pure", [False, True], ids=["selected", "pure"])
+@pytest.mark.parametrize("argv", [["analyze", "grid:3x4"],
+                                  ["classify", str(DATA / "classify_corpus.g6")]],
+                         ids=["analyze", "classify"])
+def test_cli_process_imports(argv, pure):
+    env = child_env(HANGGRAPH_PURE="1") if pure else child_env()
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hanggraph", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "hanggraph.cli" in loaded and "hanggraph.kernels" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    compiled = not pure and kernels.BACKEND == "compiled"
+    assert ("hanggraph._pykernel" in loaded) != compiled

@@ -284,10 +284,13 @@ def test_classify_stream_record_per_line():
     assert sum(1 for r in recs if r.hangable) > 0
 
 
-def test_columns_match_dataclass():
+def test_columns_match_record():
     rec = classify_graph(path(2))
     for col in COLUMNS:
         assert hasattr(rec, col)
+    assert Classification._fields == COLUMNS + ("error",)
+    assert Classification._field_defaults == dict.fromkeys(Classification._fields)
+    assert Classification() == (None,) * len(Classification._fields)
 
 
 def test_search_on_c4():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,24 @@ def test_from_edge_list_basic(fig_g):
     assert not fig_g.has_edge(0, 2)
     assert fig_g.degree(2) == 3
     assert fig_g.adj[0] == (1, 3)
+
+
+def test_graph_is_an_immutable_value():
+    masks = (0b110, 0b101, 0b011)
+    g, same, labeled = Graph(3, masks), Graph(3, masks), Graph(3, masks, ("a", "b", "c"))
+    assert g == same and hash(g) == hash(same) and len({g, same, labeled}) == 2
+    assert g != labeled and g != Graph(3, (0b010, 0b001, 0))
+    assert repr(g) == "Graph(n=3, masks=(6, 5, 3), labels=None)"
+    # equality is per class: another object with the same fields is not a Graph
+    assert g != SimpleNamespace(n=3, masks=masks, labels=None)
+    assert g != (3, masks, None)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        del g.masks
+    assert g.adj == ((1, 2), (0, 2), (0, 1))  # cached views still compute and stick
+    assert g.adj is g.adj and g.unreached is None
+    assert g == same  # cached views are not fields
 
 
 def test_duplicate_edges_collapse():

@@ -17,7 +17,9 @@ Every public function takes the same arguments as its pure twin and
 returns the same answer; tuples come back from C packed into one 64-bit
 word, whose layout each function's docstring gives.  One conversion
 marshals data into C: masks become an ``array('Q')`` and distance matrices
-an ``array('b')`` (signed int8, -1 for unreachable), whose bytes C reads.
+an ``array('b')`` (signed int8, -1 for unreachable), whose bytes C reads; a
+graph6 bit field goes in as its bytes, and its masks come back as the words
+C filled.
 ``apsp`` and ``classify_masks`` return the ``array('b')`` that C filled, so
 its matrix goes back into a decider as a byte copy; any other flat int
 sequence (the pure twin's list, a test's tuple) takes the same conversion.  A mask crosses as W = ceil(n / 64) words, low word
@@ -50,6 +52,10 @@ CFLAGS = ("-O2", "-shared", "-fPIC")
 MAXN = 128
 MAX_CLASSIFY_N = 11  # C(11,2) = 55 edge bits fit a 64-bit subset index
 _WORD = (1 << 64) - 1
+# one zero word and one zero distance: repeating them is the cheapest way to
+# get a fresh output buffer for C to fill
+_ZERO_WORD = array("Q", [0])
+_ZERO_DIST = array("b", [0])
 
 
 def compiler() -> list[str]:
@@ -156,6 +162,7 @@ try:
     _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
     _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P)
+    _graph6 = _entry(_lib, "hg_graph6_masks", None, _P, c_int, _P)
     _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int)
     _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P)
     _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int)
@@ -189,7 +196,7 @@ def apsp(masks: Sequence[int]) -> Sequence[int]:
     n = len(masks)
     if n > MAXN:
         return _py().apsp(masks)
-    dist = array("b", bytes(n * n))  # named, so it outlives the call that fills it
+    dist = _ZERO_DIST * (n * n)  # named, so it outlives the call that fills it
     _apsp(_masks(masks), n, dist.buffer_info()[0])
     return dist
 
@@ -239,23 +246,38 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     return (r & 255, r >> 8 & 255, r >> 16 & 255, r >> 24)
 
 
-def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, Sequence[int] | None]:
+def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, int,
+                                                  Sequence[int] | None]:
     """Mirror of the pure classify_masks.  C packs ``classify_bits``' word
     (flags in bits 0-7, then diameter, radius and kmin, a byte each) with
-    F_COMPLEMENT_CONNECTED among the flags and |P(G)| from bit 32, and fills
-    the complement's matrix into the ``array('b')`` returned last."""
+    F_COMPLEMENT_CONNECTED and F_SELF_COMPLEMENTARY among the flags, |P(G)|
+    in bits 32-39 and the edge count m from bit 40, and fills the
+    complement's matrix into the ``array('b')`` returned last."""
     n = len(masks)
     if n > MAXN:
         return _py().classify_masks(masks)
     if n < 1:
         raise ValueError("classify_masks needs at least one vertex")
-    co_dist = array("b", bytes(n * n))
+    co_dist = _ZERO_DIST * (n * n)
     r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0])
-    if not r & F_COMPLEMENT_CONNECTED:
+    flags = r & 255
+    if not flags & F_COMPLEMENT_CONNECTED:
         co_dist = None
-    if not r & F_CONNECTED:
-        return (r, -1, -1, -1, -1, co_dist)
-    return (r & 255, r >> 8 & 255, r >> 16 & 255, r >> 32, r >> 24 & 255, co_dist)
+    if not flags & F_CONNECTED:
+        return (flags, r >> 40, -1, -1, -1, -1, co_dist)
+    return (flags, r >> 40, r >> 8 & 255, r >> 16 & 255, r >> 32 & 255, r >> 24 & 255, co_dist)
+
+
+def graph6_masks(n: int, body: bytes) -> tuple[int, ...]:
+    """Mirror of the pure graph6_masks; C fills W words per vertex."""
+    need = (n * (n - 1) // 2 + 5) // 6
+    if n > MAXN or len(body) != need:  # the twin raises on a wrong length
+        return _py().graph6_masks(n, body)
+    words = _ZERO_WORD * (n if n <= 64 else 2 * n)
+    _graph6(body, n, words.buffer_info()[0])
+    if n <= 64:
+        return tuple(words.tolist())
+    return tuple([words[k] | words[k + 1] << 64 for k in range(0, 2 * n, 2)])
 
 
 def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],

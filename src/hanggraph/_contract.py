@@ -13,8 +13,11 @@ F_HANGABLE_TRIPLES = 4
 F_SELF_CENTERED = 8
 F_BLOCK_GRAPH = 16
 F_TREE = 32
-# classify_masks adds the complement's connectivity
+# classify_masks adds the complement's connectivity, and whether the graph is
+# isomorphic to its complement, decided up to SELF_COMPLEMENTARY_MAX_N vertices
 F_COMPLEMENT_CONNECTED = 64
+F_SELF_COMPLEMENTARY = 128
+SELF_COMPLEMENTARY_MAX_N = 8
 
 # corona_verify / cartesian_verify failure codes, 0 = all statements hold
 VERIFY_OK = 0

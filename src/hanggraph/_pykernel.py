@@ -21,8 +21,11 @@ with none, as the compiled twin does.  ``classify_bits`` and
 ``classify_masks`` share one body, ``_classify``: the tuple (flags,
 diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word,
 flags in bits 0-7, diameter, radius and kmin a byte each above them, and
-|P(G)| from bit 32; it computes the eccentricities once for both deciders
+|P(G)| in bits 32-39; it computes the eccentricities once for both deciders
 and takes kmin = 1 from the subset verdict it already has.
+``classify_masks`` adds the edge count (from bit 40 of the packed word) and
+the two complement flags, the self-complementary one from a backtracking
+search.  ``graph6_masks`` decodes a graph6 bit field into masks.
 ``biconnected_blocks`` has no compiled twin; it serves
 ``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
@@ -32,9 +35,13 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
-                        F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_TREE, VERIFY_DIAMETER,
-                        VERIFY_DISTANCE, VERIFY_ECCENTRICITY, VERIFY_GRAPH_PERIPHERY,
-                        VERIFY_HANGABLE, VERIFY_OK, VERIFY_VERTEX_PERIPHERY)
+                        F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_SELF_COMPLEMENTARY, F_TREE,
+                        SELF_COMPLEMENTARY_MAX_N, VERIFY_DIAMETER, VERIFY_DISTANCE,
+                        VERIFY_ECCENTRICITY, VERIFY_GRAPH_PERIPHERY, VERIFY_HANGABLE, VERIFY_OK,
+                        VERIFY_VERTEX_PERIPHERY)
+
+# a graph6 data byte and its six bits as text, most significant first
+_GRAPH6_BITS = {c + 63: format(c, "06b") for c in range(64)}
 
 
 def masks_from_bits(n: int, bits: int) -> list[int]:
@@ -52,6 +59,31 @@ def masks_from_bits(n: int, bits: int) -> list[int]:
                 masks[j] |= 1 << i
             k += 1
     return masks
+
+
+def graph6_masks(n: int, body: bytes) -> tuple[int, ...]:
+    """Neighbor masks of the n-vertex graph whose graph6 bit field is ``body``.
+
+    The field holds the upper triangle column by column, pairs (0,1), (0,2),
+    (1,2), (0,3), ..., six bits per byte, most significant first, each byte
+    offset by 63; padding bits are never read.  ``body`` must hold exactly
+    ceil(n(n-1)/2 / 6) bytes (else ``ValueError``), each in b"?" .. b"~".
+    """
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 bit field of {n} vertices needs {need} bytes, got {len(body)}")
+    # bit t of ``bits`` is the t-th bit of the stream
+    bits = int("".join([_GRAPH6_BITS[c] for c in body])[::-1] or "0", 2)
+    masks = [0] * n
+    for j in range(1, n):
+        col = bits & ((1 << j) - 1)  # bit i set iff ij is an edge, i < j
+        bits >>= j
+        masks[j] = col
+        while col:
+            low = col & -col
+            masks[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    return tuple(masks)
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
@@ -250,9 +282,9 @@ def _smallest_power_above_1(dist: Sequence[int], n: int, diam: int) -> int:
     raise AssertionError("power at k = diameter is complete, hence hangable")
 
 
-def _classify(masks: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """(flags, diameter, radius, |P(G)|, kmin) of the graph ``masks``; the
-    last four are -1 when it is disconnected (flags then 0)."""
+def _classify(masks: Sequence[int], m: int) -> tuple[int, int, int, int, int]:
+    """(flags, diameter, radius, |P(G)|, kmin) of the graph ``masks`` with m
+    edges; the last four are -1 when it is disconnected (flags then 0)."""
     n = len(masks)
     if not is_connected_masks(masks):
         return (0, -1, -1, -1, -1)
@@ -270,7 +302,6 @@ def _classify(masks: Sequence[int]) -> tuple[int, int, int, int, int]:
         flags |= F_SELF_CENTERED
     if is_block_graph_masks(masks):
         flags |= F_BLOCK_GRAPH
-    m = sum(mask.bit_count() for mask in masks) // 2
     if m == n - 1:
         flags |= F_TREE
     kmin = 1 if hangable else _smallest_power_above_1(dist, n, diam)
@@ -283,28 +314,59 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     Returns (flags, diameter, radius, smallest_hangable_power); the last three
     are -1 when the graph is disconnected (flags then carries no other bits).
     """
-    flags, diam, radius, _, kmin = _classify(masks_from_bits(n, bits))
+    flags, diam, radius, _, kmin = _classify(masks_from_bits(n, bits), bits.bit_count())
     return (flags, diam, radius, kmin)
 
 
-def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, list[int] | None]:
+def _self_complementary(masks: Sequence[int], co: Sequence[int]) -> bool:
+    """True iff the graph ``masks`` is isomorphic to its complement ``co``.
+
+    Backtracking: vertices 0..n-1 are mapped in order, each to an unused
+    complement vertex of the same degree whose adjacency to the vertices
+    already mapped agrees.
+    """
+    n = len(masks)
+    image = [0] * n
+
+    def extend(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        mv = masks[v]
+        for w, cw in enumerate(co):
+            if (not used & (1 << w) and cw.bit_count() == mv.bit_count()
+                    and all((mv >> u & 1) == (cw >> image[u] & 1) for u in range(v))):
+                image[v] = w
+                if extend(v + 1, used | 1 << w):
+                    return True
+        return False
+
+    return extend(0, 0)
+
+
+def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, int,
+                                                  list[int] | None]:
     """The classify fields of the graph ``masks``, and its complement's matrix.
 
-    Returns (flags, diameter, radius, |P(G)|, smallest_hangable_power,
-    complement distances): ``classify_bits``' flags and fields plus |P(G)|,
-    -1 in the four fields when the graph is disconnected; flags carry
-    F_COMPLEMENT_CONNECTED when the complement is connected, and then the
-    last item is its flat distance matrix, else None.
+    Returns (flags, m, diameter, radius, |P(G)|, smallest_hangable_power,
+    complement distances): ``classify_bits``' flags and fields plus the edge
+    count m and |P(G)|, -1 in the four metric fields when the graph is
+    disconnected.  Flags carry F_COMPLEMENT_CONNECTED when the complement is
+    connected, and then the last item is its flat distance matrix, else
+    None; and F_SELF_COMPLEMENTARY when n <= SELF_COMPLEMENTARY_MAX_N and the
+    graph is isomorphic to its complement.
     """
     n = len(masks)
     full = (1 << n) - 1
     co = [full ^ 1 << v ^ mask for v, mask in enumerate(masks)]
-    flags, diam, radius, periphery, kmin = _classify(masks)
+    m = sum(mask.bit_count() for mask in masks) // 2
+    flags, diam, radius, periphery, kmin = _classify(masks, m)
+    if n <= SELF_COMPLEMENTARY_MAX_N and 4 * m == n * (n - 1) and _self_complementary(masks, co):
+        flags |= F_SELF_COMPLEMENTARY
     co_dist = None
     if is_connected_masks(co):
         flags |= F_COMPLEMENT_CONNECTED
         co_dist = apsp(co)
-    return (flags, diam, radius, periphery, kmin, co_dist)
+    return (flags, m, diam, radius, periphery, kmin, co_dist)
 
 
 def _corona_masks(masks_g: Sequence[int], masks_h: Sequence[int]) -> list[int]:

@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import blocks as blocks_mod
 from . import embedding as embedding_mod
@@ -39,22 +39,55 @@ EXIT_DISCONNECTED = 3
 EXIT_BUDGET = 4
 
 
-def _read_source(source: str) -> str:
-    """The text of a file, or of stdin for "-", read as bytes and decoded as
-    UTF-8 with surrogateescape whatever the locale: an invalid byte becomes a
-    lone surrogate that no parser accepts, so it ends in a parse error."""
+_CHUNK = 1 << 16  # most bytes taken from the input in one read
+
+
+def _input_lines(source: str) -> Iterator[list[str]]:
+    """The lines of a file, or of stdin for "-", one list per read, as the
+    input arrives.  Each read takes what is there, up to 64 KiB, so a line
+    from a pipe is handed on as soon as it arrives and memory stays flat on
+    any input.  The bytes are decoded as UTF-8 with surrogateescape whatever
+    the locale: an invalid byte becomes a lone surrogate that no parser
+    accepts, so it ends in a parse error.  Each read is cut after its last
+    newline, where splitting the whole text would also break, so
+    ``str.splitlines`` finds the lines it would find in the whole text.  A
+    file that cannot be opened raises ``GraphInputError`` here, before the
+    first read.  A stdin with no byte layer, such as a StringIO, is read
+    whole."""
     if source == "-":
-        raw = getattr(sys.stdin, "buffer", None)
-        if raw is None:  # a text-only stream, such as a StringIO
-            return sys.stdin.read()
-        data = raw.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return iter([sys.stdin.read().splitlines()])
     else:
         try:
-            with open(source, "rb") as fh:
-                data = fh.read()
+            stream = open(source, "rb")
         except OSError as exc:
             raise GraphInputError(f"cannot read {source!r}: {exc}") from None
-    return data.decode("utf-8", "surrogateescape")
+    return _read_lines(stream, source)
+
+
+def _read_lines(stream, source: str) -> Iterator[list[str]]:
+    tail = bytearray()  # the bytes after the last newline read, grown in place
+    try:
+        while True:
+            try:
+                chunk = stream.read1(_CHUNK)
+            except OSError as exc:
+                raise GraphInputError(f"cannot read {source!r}: {exc}") from None
+            if not chunk:
+                break
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                tail += chunk[:cut]
+                yield tail.decode("utf-8", "surrogateescape").splitlines()
+                tail = bytearray(chunk[cut:])
+            else:
+                tail += chunk
+    finally:
+        if source != "-":
+            stream.close()
+    if tail:
+        yield tail.decode("utf-8", "surrogateescape").splitlines()
 
 
 def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
@@ -62,13 +95,12 @@ def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
     if generators.looks_like_expression(source):
         g = generators.from_expression(source)
     else:
-        text = _read_source(source)
-        lines = [ln for ln in text.splitlines()
-                 if ln.strip() and not ln.lstrip().startswith("#")]
+        every_line = [line for chunk in _input_lines(source) for line in chunk]
+        lines = [ln for ln in every_line if ln.strip() and not ln.lstrip().startswith("#")]
         if not lines:
             raise GraphInputError(f"no graph found in {source!r}")
         if lines[0].lstrip()[0].isdigit():
-            g = parse_edge_list(text)
+            g = parse_edge_list("\n".join(every_line))
         else:
             if len(lines) > 1:
                 raise GraphInputError(
@@ -293,33 +325,43 @@ def cmd_blocks(args) -> int:
 # --- classify ------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+_CELL = {None: "-", True: "true", False: "false"}  # the text of a yes/no field
+_ERROR_CELLS = "-\t" * (len(explorer_mod.COLUMNS) - 1)
+
+
+def _text_row(record: explorer_mod.Classification) -> str:
+    """The record as one tab-separated text line: a column per field of
+    ``COLUMNS``, "-" for None, "true"/"false" for yes/no fields; an error
+    record has "-" in every column but the last, which holds the error."""
+    (n, m, connected, tree, block_graph, self_centered, hangable, diameter, radius,
+     periphery_size, complement_hangable, self_complementary, k, note, error) = record
+    if error is not None:
+        return f"{_ERROR_CELLS}error: {error}\n"
+    cell = _CELL
+    return (f"{n}\t{m}\t{cell[connected]}\t{cell[tree]}\t{cell[block_graph]}\t"
+            f"{cell[self_centered]}\t{cell[hangable]}\t{'-' if diameter is None else diameter}\t"
+            f"{'-' if radius is None else radius}\t"
+            f"{'-' if periphery_size is None else periphery_size}\t"
+            f"{cell[complement_hangable]}\t{cell[self_complementary]}\t"
+            f"{'-' if k is None else k}\t{'-' if note is None else note}\n")
 
 
 def cmd_classify(args) -> int:
+    """Classify the input's graph6 lines, one record per non-blank line in
+    input order, written as each arrives; stdout is flushed before each read
+    that may wait for input."""
     _reject_graph6(args, "classify")
-    text = _read_source(args.input)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    records = explorer_mod.classify_stream(lines)
-    if args.format == "structured":
-        for record in records:
-            payload = {col: getattr(record, col) for col in explorer_mod.COLUMNS}
-            payload["error"] = record.error
-            _json(args, payload)
-    else:
+    chunks = _input_lines(args.input)
+    structured = args.format == "structured"
+    if not structured:
         _emit(args, "# " + "\t".join(explorer_mod.COLUMNS) + "\n")
-        for record in records:
-            if record.error is not None:
-                row = ["-"] * (len(explorer_mod.COLUMNS) - 1)
-                row.append(f"error: {record.error}")
+    for lines in chunks:
+        for record in explorer_mod.classify_stream([ln for ln in lines if ln.strip()]):
+            if structured:
+                _json(args, record._asdict())
             else:
-                row = [_cell(getattr(record, col)) for col in explorer_mod.COLUMNS]
-            _emit(args, "\t".join(row) + "\n")
+                _emit(args, _text_row(record))
+        sys.stdout.flush()
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Batch classification and brute-force search over small graphs.
 
 classify_graph fills one flat record per graph from one kernel call,
-``classify_masks``, which decides connectivity, the flags, diameter, radius,
-|P(G)| and the smallest hangable power (the ceil(d/k) transform of the
-graph's one distance matrix), and returns the complement's distance matrix
-when the complement is connected.  The subset decider judges that matrix
-for the complement's hangability, so no APSP runs here, and
-self-complementarity is searched in Python.  classify_stream maps
+``classify_masks``, which counts the edges and decides connectivity, the
+flags, diameter, radius, |P(G)|, the smallest hangable power (the ceil(d/k)
+transform of the graph's one distance matrix) and self-complementarity, and
+returns the complement's distance matrix when the complement is connected.
+The subset decider judges that matrix for the complement's hangability, so
+no APSP runs here.  classify_stream maps
 a graph6 stream to records in input order, turning bad lines into error
 records instead of dying.  search_hangable_subgraphs enumerates induced
 subgraphs of a host up to a subset budget.  smallest_hangable_power walks
@@ -22,7 +22,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import graph6 as g6
 from . import kernels
-from .graph import Graph, GraphInputError, complement, induced_subgraph, is_connected, power
+from ._contract import (F_BLOCK_GRAPH, F_CONNECTED, F_SELF_CENTERED, F_SELF_COMPLEMENTARY,
+                        F_TREE, SELF_COMPLEMENTARY_MAX_N)
+from .graph import Graph, GraphInputError, induced_subgraph, is_connected, power
 from .metrics import check_hangable
 
 
@@ -59,43 +61,19 @@ COLUMNS = ("n", "m", "connected", "tree", "block_graph", "self_centered",
            "complement_hangable", "self_complementary",
            "smallest_hangable_power", "note")
 
-SELF_COMPLEMENTARY_MAX_N = 8
-
 
 def is_self_complementary(g: Graph) -> bool | None:
-    """Backtracking search for an isomorphism onto the complement.
-
-    Maps vertices 0..n-1 in order, each to an unused complement vertex of the
-    same degree whose adjacency to the vertices already mapped agrees.
-    Returns None above SELF_COMPLEMENTARY_MAX_N vertices (not computed).
+    """Whether g is isomorphic to its complement, as ``classify_masks``
+    decides it: a backtracking search that maps vertices 0..n-1 in order,
+    each to an unused complement vertex of the same degree whose adjacency
+    to the vertices already mapped agrees.  Returns None above
+    SELF_COMPLEMENTARY_MAX_N vertices (not computed).
     """
-    return _self_complementary(g, g.m)
-
-
-def _self_complementary(g: Graph, m: int) -> bool | None:
-    """``is_self_complementary`` of g, which has m edges."""
-    n = g.n
-    if n > SELF_COMPLEMENTARY_MAX_N:
+    if g.n > SELF_COMPLEMENTARY_MAX_N:
         return None
-    if n * (n - 1) // 2 != 2 * m:
-        return False
-    masks = g.masks
-    cmasks = complement(g).masks
-    image = [0] * n
-
-    def extend(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        mv = masks[v]
-        for w, cw in enumerate(cmasks):
-            if (not used & (1 << w) and cw.bit_count() == mv.bit_count()
-                    and all((mv >> u & 1) == (cw >> image[u] & 1) for u in range(v))):
-                image[v] = w
-                if extend(v + 1, used | 1 << w):
-                    return True
-        return False
-
-    return extend(0, 0)
+    if g.n < 1:  # the empty graph is its own complement
+        return True
+    return bool(kernels.classify_masks(g.masks)[0] & F_SELF_COMPLEMENTARY)
 
 
 def smallest_hangable_power(g: Graph) -> int:
@@ -113,29 +91,19 @@ def smallest_hangable_power(g: Graph) -> int:
 
 
 def classify_graph(g: Graph) -> Classification:
-    n, m = g.n, g.m
+    n = g.n
     if n < 1:
-        return Classification(n=n, m=m, connected=True, note="empty graph")
-    flags, diameter, radius, periphery_size, k, co_dist = kernels.classify_masks(g.masks)
+        return Classification(n, g.m, True, note="empty graph")
+    flags, m, diameter, radius, periphery_size, k, co_dist = kernels.classify_masks(g.masks)
     comp_hang = kernels.hangable_subset(co_dist, n)[0] if co_dist is not None else None
-    selfco = _self_complementary(g, m)
-    if not flags & kernels.F_CONNECTED:
-        return Classification(
-            n=n, m=m, connected=False,
-            complement_hangable=comp_hang, self_complementary=selfco,
-            note="disconnected: metric fields not computed")
-    return Classification(
-        n=n, m=m, connected=True,
-        tree=bool(flags & kernels.F_TREE),
-        block_graph=bool(flags & kernels.F_BLOCK_GRAPH),
-        self_centered=bool(flags & kernels.F_SELF_CENTERED),
-        hangable=k == 1,
-        diameter=diameter,
-        radius=radius,
-        periphery_size=periphery_size,
-        complement_hangable=comp_hang,
-        self_complementary=selfco,
-        smallest_hangable_power=k)
+    selfco = bool(flags & F_SELF_COMPLEMENTARY) if n <= SELF_COMPLEMENTARY_MAX_N else None
+    if not flags & F_CONNECTED:
+        return Classification(n, m, False, None, None, None, None, None, None, None,
+                              comp_hang, selfco, None,
+                              "disconnected: metric fields not computed")
+    return Classification(n, m, True, bool(flags & F_TREE), bool(flags & F_BLOCK_GRAPH),
+                          bool(flags & F_SELF_CENTERED), k == 1, diameter, radius,
+                          periphery_size, comp_hang, selfco, k)
 
 
 def classify_stream(lines: Iterable[str]) -> Iterator[Classification]:

@@ -2,10 +2,11 @@
 
 Vertices are 0..n-1.  A graph is stored once, as neighbor bitmasks: bit u of
 ``masks[v]`` is set iff uv is an edge.  Python ints are unbounded, so this
-serves any n, at about n^2/8 bytes (a path: n^2/16).  Neighbor tuples, the
-connectivity check and the kernel's distance matrix are derived on first use
-and cached.  Optional unique labels are for presentation only and never
-affect structure.  All operations return new graphs.
+serves any n, at about n^2/8 bytes (a path: n^2/16).  The edge count,
+neighbor tuples, the connectivity check and the kernel's distance matrix are
+derived on first use and cached.  Optional unique labels are for
+presentation only and never affect structure.  All operations return new
+graphs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from ._record import Record, set_field
+from ._record import Record
 
 
 class GraphInputError(ValueError):
@@ -52,12 +53,14 @@ class Graph(Record):
 
     def __init__(self, n: int, masks: tuple[int, ...],
                  labels: tuple[str, ...] | None = None):
-        set_field(self, "n", n)
-        set_field(self, "masks", masks)
-        set_field(self, "labels", labels)
+        fields = self.__dict__
+        fields["n"] = n
+        fields["masks"] = masks
+        fields["labels"] = labels
 
-    @property
+    @cached_property
     def m(self) -> int:
+        """Edge count."""
         return sum(mask.bit_count() for mask in self.masks) // 2
 
     @cached_property

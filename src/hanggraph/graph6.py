@@ -5,16 +5,21 @@ triangle of the adjacency matrix, column by column, packed into 6-bit chunks
 offset by 63.  An optional ">>graph6<<" prefix is accepted and stripped.
 Encoding is canonical (zero padding); decoding tolerates nonzero padding bits
 but rejects wrong lengths and out-of-range bytes, reporting the byte offset.
+Past those checks the kernel's ``graph6_masks`` turns the bit field into the
+graph's neighbor masks.
 """
 
 from __future__ import annotations
 
+import re
+
+from . import kernels
 from .graph import Graph, GraphInputError
 
 PREFIX = ">>graph6<<"
-# a data byte and its six bits as text, most significant first
-_BITS = {chr(c + 63): format(c, "06b") for c in range(64)}
-_BYTE = {bits: ch for ch, bits in _BITS.items()}
+# six bits as text, most significant first, and the data byte that holds them
+_BYTE = {format(c, "06b"): chr(c + 63) for c in range(64)}
+_INVALID = re.compile("[^?-~]")  # any character outside the data bytes
 
 
 class Graph6Error(GraphInputError):
@@ -35,29 +40,29 @@ def _encode_size(n: int) -> str:
     raise Graph6Error(f"graph too large for graph6: {n} vertices")
 
 
+def _size_group(s: str, offset: int, count: int) -> int:
+    """The ``count`` six-bit size bytes of ``s`` from ``offset`` on, as one number."""
+    val = 0
+    for pos in range(offset, offset + count):
+        if pos >= len(s):
+            raise Graph6Error("truncated size header", offset=pos)
+        c = ord(s[pos]) - 63
+        if not 0 <= c <= 63:
+            raise Graph6Error(f"invalid byte {s[pos]!r} in size header", offset=pos)
+        val = (val << 6) | c
+    return val
+
+
 def _decode_size(s: str) -> tuple[int, int]:
     """Returns (n, bytes consumed)."""
-
-    def group(offset: int, count: int) -> int:
-        val = 0
-        for i in range(count):
-            pos = offset + i
-            if pos >= len(s):
-                raise Graph6Error("truncated size header", offset=pos)
-            c = ord(s[pos]) - 63
-            if not 0 <= c <= 63:
-                raise Graph6Error(f"invalid byte {s[pos]!r} in size header", offset=pos)
-            val = (val << 6) | c
-        return val
-
     first = ord(s[0]) - 63
     if first < 0 or first > 63:
         raise Graph6Error(f"invalid leading byte {s[0]!r}", offset=0)
-    if s[0] != "~":
+    if first < 63:  # any byte but "~" is the whole header
         return first, 1
     if len(s) >= 2 and s[1] == "~":
-        return group(2, 6), 8
-    return group(1, 3), 4
+        return _size_group(s, 2, 6), 8
+    return _size_group(s, 1, 3), 4
 
 
 def to_graph6(g: Graph) -> str:
@@ -92,20 +97,8 @@ def from_graph6(line: str) -> Graph:
             offset=consumed + len(body))
     if len(body) > need:
         raise Graph6Error("trailing data after bit field", offset=consumed + need)
-    try:
-        stream = "".join([_BITS[ch] for ch in body])
-    except KeyError as exc:
-        pos = body.index(exc.args[0])
-        raise Graph6Error(f"invalid byte {body[pos]!r} in bit field",
-                          offset=consumed + pos) from None
-    bits = int(stream[::-1] or "0", 2)  # as in to_graph6; padding bits are never read
-    masks = [0] * n
-    for j in range(1, n):
-        col = bits & ((1 << j) - 1)  # bit i set iff ij is an edge, i < j
-        bits >>= j
-        masks[j] = col
-        while col:
-            low = col & -col
-            masks[low.bit_length() - 1] |= 1 << j
-            col ^= low
-    return Graph(n, tuple(masks))
+    invalid = _INVALID.search(body)
+    if invalid:
+        pos = invalid.start()
+        raise Graph6Error(f"invalid byte {body[pos]!r} in bit field", offset=consumed + pos)
+    return Graph(n, kernels.graph6_masks(n, body.encode("ascii")))

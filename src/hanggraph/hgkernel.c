@@ -13,7 +13,10 @@
  * 64-bit integer so that no output buffer is shared between calls; see the
  * comment on each hg_* function for its layout.  The two classify entries
  * share one layout: flags in bits 0-7, diameter in 8-15, radius in 16-23,
- * kmin in 24-31, and (hg_classify_masks only) |P(G)| from bit 32.
+ * kmin in 24-31.  hg_classify_masks adds |P(G)| in bits 32-39 and the edge
+ * count m from bit 40, and two flags about the complement:
+ * F_COMPLEMENT_CONNECTED (64) and F_SELF_COMPLEMENTARY (128), the latter
+ * decided for n <= SELF_COMPLEMENTARY_MAX_N only.
  */
 
 #include <stdint.h>
@@ -22,6 +25,7 @@
 #define MAXW 2 /* words per mask at MAXN vertices */
 #define MAXN2 (MAXN * MAXN)
 #define MAXE (MAXN * (MAXN - 1) / 2) /* edges of the complete graph K_MAXN */
+#define SELF_COMPLEMENTARY_MAX_N 8
 
 enum {
     F_CONNECTED = 1,
@@ -30,7 +34,8 @@ enum {
     F_SELF_CENTERED = 8,
     F_BLOCK_GRAPH = 16,
     F_TREE = 32,
-    F_COMPLEMENT_CONNECTED = 64
+    F_COMPLEMENT_CONNECTED = 64,
+    F_SELF_COMPLEMENTARY = 128
 };
 
 enum {
@@ -367,13 +372,39 @@ int64_t hg_classify(int n, uint64_t bits)
     return classify_core(adj, n, 1, m, dist, ecc);
 }
 
-/* hg_classify on masks of W words, plus |P(G)| and the complement, whose
+/* 1 when image[0 .. v-1] extends to an isomorphism from g onto its
+ * complement co: vertices v .. n-1 go, in order, each to an unused vertex of
+ * co of the same degree whose adjacency to the vertices already mapped
+ * agrees.  n <= SELF_COMPLEMENTARY_MAX_N, so every mask is one word. */
+static int selfco_extend(const uint64_t *adj, const uint64_t *co, int n, int v,
+                         unsigned used, int *image)
+{
+    if (v == n)
+        return 1;
+    int degree = __builtin_popcountll(adj[v]);
+    for (int w = 0; w < n; w++) {
+        if (used >> w & 1 || __builtin_popcountll(co[w]) != degree)
+            continue;
+        int u = 0;
+        while (u < v && (adj[v] >> u & 1) == (co[w] >> image[u] & 1))
+            u++;
+        if (u < v)
+            continue;
+        image[v] = w;
+        if (selfco_extend(adj, co, n, v + 1, used | 1u << w, image))
+            return 1;
+    }
+    return 0;
+}
+
+/* hg_classify on masks of W words, plus |P(G)|, m and the complement, whose
  * distance matrix goes to co_dist when it is connected */
 static inline __attribute__((always_inline)) int64_t
 classify_masks_core(const uint64_t *adj, int n, int W, int8_t *co_dist)
 {
     uint64_t co[MAXN * MAXW];
     int8_t dist[MAXN2], ecc[MAXN];
+    int image[SELF_COMPLEMENTARY_MAX_N];
     int64_t flags = 0;
     int deg = 0, periphery = 0;
     for (int v = 0; v < n; v++)
@@ -382,28 +413,53 @@ classify_masks_core(const uint64_t *adj, int n, int W, int8_t *co_dist)
             deg += __builtin_popcountll(a);
             co[v * W + k] = full_word(n, k) & ~a & ~self;
         }
+    int m = deg / 2;
+    if (n <= SELF_COMPLEMENTARY_MAX_N && 4 * m == n * (n - 1)
+        && selfco_extend(adj, co, n, 0, 0, image))
+        flags |= F_SELF_COMPLEMENTARY;
     if (connected_core(co, n, W)) {
         flags |= F_COMPLEMENT_CONNECTED;
         apsp_core(co, n, W, co_dist);
     }
+    flags |= (int64_t)m << 40;
     if (!connected_core(adj, n, W))
         return flags;
-    int64_t r = classify_core(adj, n, W, deg / 2, dist, ecc);
+    int64_t r = classify_core(adj, n, W, m, dist, ecc);
     int8_t diam = (int8_t)(r >> 8);
     for (int v = 0; v < n; v++)
         periphery += ecc[v] == diam;
     return flags | r | (int64_t)periphery << 32;
 }
 
-/* F_COMPLEMENT_CONNECTED or 0 when g is disconnected, else hg_classify's
- * word with that flag added and |P(G)| from bit 32.  When the complement is
- * connected its distance matrix goes to co_dist (n * n bytes), else co_dist
- * is left as it was; n <= 128 */
+/* m << 40 with the complement flags when g is disconnected, else
+ * hg_classify's word with those flags, |P(G)| in bits 32-39 and m from bit 40.
+ * F_COMPLEMENT_CONNECTED: the complement is connected, and its distance
+ * matrix went to co_dist (n * n bytes), which is otherwise left as it was.
+ * F_SELF_COMPLEMENTARY: n <= SELF_COMPLEMENTARY_MAX_N and g is isomorphic
+ * to its complement.  n <= 128 */
 int64_t hg_classify_masks(const uint64_t *adj, int n, int8_t *co_dist)
 {
     if (n <= 64)
         return classify_masks_core(adj, n, 1, co_dist);
     return classify_masks_core(adj, n, MAXW, co_dist);
+}
+
+/* the masks (W words per vertex) of the n-vertex graph whose graph6 bit field
+ * is body: pair t of the upper triangle, column by column, (0,1), (0,2),
+ * (1,2), (0,3), ..., is bit 5 - t % 6 of body[t / 6] - 63.  The caller has
+ * checked that body holds ceil(n(n-1)/2 / 6) bytes, each in '?' .. '~';
+ * n <= 128 */
+void hg_graph6_masks(const uint8_t *body, int n, uint64_t *adj)
+{
+    int W = words(n), t = 0;
+    for (int i = 0; i < n * W; i++)
+        adj[i] = 0;
+    for (int j = 1; j < n; j++)
+        for (int i = 0; i < j; i++, t++)
+            if ((body[t / 6] - 63) >> (5 - t % 6) & 1) {
+                set_bit(adj + i * W, j);
+                set_bit(adj + j * W, i);
+            }
 }
 
 /* builds the corona G o H (copy v of H hangs off base vertex v) and checks

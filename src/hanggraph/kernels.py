@@ -7,12 +7,12 @@ the compiled kernel cannot be built or loaded, everything goes to the pure
 twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
 twin without trying the build.  ``BACKEND`` names the backend in use and
 ``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
-error that kept the compiled kernel out.  The eleven kernel names here are the
+error that kept the compiled kernel out.  The twelve kernel names here are the
 selected module's own functions; both modules implement the same signatures
-and are equivalence-tested against each other.  The flag bits and verifier
-codes are re-exported from ``_contract``, so on the compiled backend this
-module never imports ``_pykernel``; ``_ckernel`` loads it on its first
-fallback.
+and are equivalence-tested against each other.  The flag bits, verifier
+codes and SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on
+the compiled backend this module never imports ``_pykernel``; ``_ckernel``
+loads it on its first fallback.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from ._contract import (  # re-exported contract constants
     F_HANGABLE,
     F_HANGABLE_TRIPLES,
     F_SELF_CENTERED,
+    F_SELF_COMPLEMENTARY,
     F_TREE,
+    SELF_COMPLEMENTARY_MAX_N,
     VERIFY_DIAMETER,
     VERIFY_DISTANCE,
     VERIFY_ECCENTRICITY,
@@ -58,11 +60,11 @@ BACKEND = "compiled" if _c is not None else "pure"
 
 if _c is not None:
     from ._ckernel import (apsp, cartesian_verify, classify_bits, classify_masks,
-                           corona_verify, hangable_subset, hangable_triples,
+                           corona_verify, graph6_masks, hangable_subset, hangable_triples,
                            is_block_graph_masks, is_connected_masks, join_verify,
                            smallest_power_k)
 else:
     from ._pykernel import (apsp, cartesian_verify, classify_bits, classify_masks,
-                            corona_verify, hangable_subset, hangable_triples,
+                            corona_verify, graph6_masks, hangable_subset, hangable_triples,
                             is_block_graph_masks, is_connected_masks, join_verify,
                             smallest_power_k)

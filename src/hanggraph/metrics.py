@@ -23,7 +23,7 @@ from collections import deque
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from ._record import Record, set_field
+from ._record import Record
 from .graph import Graph, GraphInputError, disconnected_error
 
 
@@ -33,8 +33,9 @@ class DistanceMatrix(Record):
     _fields = ("n", "rows")
 
     def __init__(self, n: int, rows: tuple[tuple[int, ...], ...]):
-        set_field(self, "n", n)
-        set_field(self, "rows", rows)
+        fields = self.__dict__
+        fields["n"] = n
+        fields["rows"] = rows
 
     def dist(self, u: int, v: int) -> int:
         return self.rows[u][v]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._record import Record, set_field
+from ._record import Record
 from .graph import Graph, GraphInputError, _build
 from .metrics import DistanceMatrix, MetricProfile, all_pairs_distances, metric_profile
 
@@ -238,12 +238,13 @@ class CartesianMetrics(Record):
                  vertex_periphery: tuple[frozenset[int], ...],
                  graph_periphery: frozenset[int],
                  _dist_g: DistanceMatrix, _dist_h: DistanceMatrix):
-        set_field(self, "eccentricity", eccentricity)
-        set_field(self, "diameter", diameter)
-        set_field(self, "vertex_periphery", vertex_periphery)
-        set_field(self, "graph_periphery", graph_periphery)
-        set_field(self, "_dist_g", _dist_g)
-        set_field(self, "_dist_h", _dist_h)
+        fields = self.__dict__
+        fields["eccentricity"] = eccentricity
+        fields["diameter"] = diameter
+        fields["vertex_periphery"] = vertex_periphery
+        fields["graph_periphery"] = graph_periphery
+        fields["_dist_g"] = _dist_g
+        fields["_dist_h"] = _dist_h
 
     def distance(self, p: int, q: int) -> int:
         nh = self._dist_h.n

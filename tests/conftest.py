@@ -9,15 +9,23 @@ shares no code with the lowpoint DFS behind ``biconnected_components`` and
 ``is_block_graph`` (pure or compiled) that it checks.
 ``one_labeling_per_class`` covers every isomorphism class on n vertices at
 a fraction of the cost of every labeled graph.
+``self_complementary_reference`` tries every degree-preserving vertex
+permutation whole, with no pruning by adjacency, so it shares nothing with
+the kernels' backtracking, and
+``n8_self_complementary_cases`` gives the n = 8 graphs that search must get
+right: relabelings of a self-complementary graph, and graphs whose degrees
+match their complement's.
 """
 
 from __future__ import annotations
 
+import itertools
+import random
 from functools import cache
 
 import pytest
 
-from hanggraph import Graph, from_edge_list, kernels
+from hanggraph import Graph, complement, from_edge_list, kernels
 
 FIG_G_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3), (2, 4)]
 FIG_H_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3)]
@@ -86,3 +94,66 @@ def _one_labeling_per_class(n: int) -> tuple[Graph, ...]:
 @pytest.fixture
 def one_labeling_per_class():
     return _one_labeling_per_class
+
+
+def _self_complementary_by_permutations(g: Graph) -> bool:
+    """Reference: try every vertex permutation that could map g onto its
+    complement, those sending each vertex to one of the same degree there."""
+    n = g.n
+    if n * (n - 1) // 2 != 2 * g.m:
+        return False
+    co = complement(g)
+    classes: dict[int, list[int]] = {}  # degree -> the vertices of g with it
+    for v in range(n):
+        classes.setdefault(g.degree(v), []).append(v)
+    targets = [[w for w in range(n) if co.degree(w) == d] for d in classes]
+    if [len(ws) for ws in targets] != [len(vs) for vs in classes.values()]:
+        return False
+    for choice in itertools.product(*map(itertools.permutations, targets)):
+        perm = [0] * n
+        for vs, ws in zip(classes.values(), choice):
+            for v, w in zip(vs, ws):
+                perm[v] = w
+        if all(co.has_edge(perm[u], perm[v]) for u, v in g.edges()):
+            return True
+    return False
+
+
+@pytest.fixture
+def self_complementary_reference():
+    return _self_complementary_by_permutations
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@cache
+def _n8_self_complementary_cases() -> tuple[tuple[Graph, ...], tuple[Graph, ...]]:
+    """(positives, degree-matched) graphs on 8 vertices.  The positives are 20
+    relabelings of P_4 with its end vertices blown up to 2K_1 and its middle
+    ones to K_2.  The degree-matched ones are 25 seeded graphs with 14 edges
+    whose degrees match their complement's, so no degree count decides them."""
+    from hanggraph.corpus import graph_from_bits, pair_count
+
+    parts = ((0, 1), (2, 3), (4, 5), (6, 7))
+    edges = [(2, 3), (4, 5)]
+    edges += [(x, y) for a, b in ((0, 1), (1, 2), (2, 3)) for x in parts[a] for y in parts[b]]
+    blown_up = from_edge_list(8, edges)
+    rng = random.Random(8)
+    positives = tuple(_relabeled(blown_up, rng) for _ in range(20))
+    rng = random.Random(14)
+    matched = []
+    while len(matched) < 25:
+        g = graph_from_bits(8, rng.getrandbits(pair_count(8)))
+        degrees = sorted(g.degree(v) for v in range(8))
+        if g.m == 14 and degrees == sorted(7 - d for d in degrees):
+            matched.append(g)
+    return positives, tuple(matched)
+
+
+@pytest.fixture
+def n8_self_complementary_cases():
+    return _n8_self_complementary_cases()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from hanggraph import kernels, metrics
 from hanggraph.cli import main
+from hanggraph.explorer import COLUMNS
 
 DATA = Path(__file__).parent / "data"
 
@@ -476,6 +478,84 @@ def test_classify_golden(capsys, fmt, golden):
     assert out == (DATA / golden).read_text()
 
 
+# Every line boundary str.splitlines knows starts a record: \r\n, \x0c, \x1c,
+# U+2028, NEL, \r, \x1d, \x1e, U+2029; whitespace-only lines give none, and
+# an invalid UTF-8 byte ends in an error record.
+ODD_SEPARATORS = (b"Ch\r\nDhc\x0cBw\x1cA_\xe2\x80\xa8C~\n   \n\t\x0b \nD?{\xff\n\xffCh\r"
+                  b"Bw\xc2\x85>>graph6<<@\x1d\x1e\xe2\x80\xa9 Dhc \n\r\n@")
+ODD_SEPARATORS_ROWS = """\
+4\t3\ttrue\ttrue\ttrue\tfalse\ttrue\t3\t2\t2\ttrue\ttrue\t1\t-
+5\t5\ttrue\tfalse\tfalse\ttrue\ttrue\t2\t2\t5\ttrue\ttrue\t1\t-
+3\t3\ttrue\tfalse\ttrue\ttrue\ttrue\t1\t1\t3\t-\tfalse\t1\t-
+2\t1\ttrue\ttrue\ttrue\ttrue\ttrue\t1\t1\t2\t-\tfalse\t1\t-
+4\t6\ttrue\tfalse\ttrue\ttrue\ttrue\t1\t1\t4\t-\tfalse\t1\t-
+-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\terror: trailing data after bit field (byte offset 3)
+-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\t-\terror: invalid leading byte '\\udcff' (byte offset 0)
+3\t3\ttrue\tfalse\ttrue\ttrue\ttrue\t1\t1\t3\t-\tfalse\t1\t-
+1\t0\ttrue\ttrue\ttrue\ttrue\ttrue\t0\t0\t1\ttrue\ttrue\t1\t-
+5\t5\ttrue\tfalse\tfalse\ttrue\ttrue\t2\t2\t5\ttrue\ttrue\t1\t-
+1\t0\ttrue\ttrue\ttrue\ttrue\ttrue\t0\t0\t1\ttrue\ttrue\t1\t-
+"""
+CLASSIFY_HEADER = "# " + "\t".join(COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_odd_line_separators(tmp_path, monkeypatch, capsys, source):
+    if source == "file":
+        p = tmp_path / "odd.g6"
+        p.write_bytes(ODD_SEPARATORS)
+        arg = str(p)
+    else:
+        byte_stdin(monkeypatch, ODD_SEPARATORS)
+        arg = "-"
+    assert run(capsys, "classify", arg) == (0, CLASSIFY_HEADER + ODD_SEPARATORS_ROWS)
+
+
+def test_classify_reads_in_pieces_like_the_whole_text(monkeypatch, capsys):
+    # input is read 64 KiB at a time; put a \r\n pair, a U+2028 and a graph6
+    # line across those boundaries, and the records are those of the whole text
+    piece = 1 << 16
+    data = b" " * (piece - 1) + b"\r\nCh"
+    data += b"\n" * (2 * piece - len(data) - 1) + b"\xe2\x80\xa8Dhc"
+    data += b"\n" + b"\t" * (3 * piece - len(data) - 3) + b"Dhc\x0c\xffB" + b"\n" * 10 + b"w"
+    byte_stdin(monkeypatch, data)
+    pieces = run(capsys, "classify", "-", "--format", "structured")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode("utf-8", "surrogateescape")))
+    whole = run(capsys, "classify", "-", "--format", "structured")
+    assert pieces == whole
+    records = [json.loads(line) for line in pieces[1].splitlines()]
+    assert [r["n"] for r in records] == [4, 5, 5, None, None]
+
+
+def test_classify_streams_a_pipe():
+    # the record of a line written to stdin comes back while stdin is still open
+    proc = subprocess.Popen([sys.executable, "-m", "hanggraph", "classify", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=child_env())
+    try:
+        proc.stdin.write(b"Ch\n")
+        proc.stdin.flush()
+        out = b""
+        deadline = time.monotonic() + 30
+        while out.count(b"\n") < 2 and time.monotonic() < deadline:
+            ready, _, _ = select.select([proc.stdout], [], [], deadline - time.monotonic())
+            if not ready:
+                break
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            if not chunk:
+                break
+            out += chunk
+        assert proc.poll() is None  # still waiting for more input
+        assert out.decode() == CLASSIFY_HEADER + ODD_SEPARATORS_ROWS.splitlines(True)[0]
+    finally:
+        try:
+            rest, err = proc.communicate(timeout=30)  # closes stdin
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert proc.returncode == 0 and rest == b"", err
+
+
 def test_classify_structured_is_jsonl(tmp_path, capsys):
     p = tmp_path / "stream.g6"
     p.write_text("Ch\nDhc\n")
@@ -657,14 +737,20 @@ def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
 
 
 # A CLI process imports only what its command runs on: no dataclasses (which
-# loads inspect, ast and dis), and on the compiled backend no pure kernel.
+# loads inspect, ast and dis), and on the compiled backend no pure kernel,
+# whose graph6 decoder serves only graphs past 128 vertices.  "{}" stands for
+# a file of 9-11 vertex lines: C(9, 2) = 36 bits or more of graph6 bit field.
 @pytest.mark.parametrize("pure", [False, True], ids=["selected", "pure"])
 @pytest.mark.parametrize("argv", [["analyze", "grid:3x4"],
-                                  ["classify", str(DATA / "classify_corpus.g6")]],
-                         ids=["analyze", "classify"])
-def test_cli_process_imports(argv, pure):
+                                  ["classify", str(DATA / "classify_corpus.g6")],
+                                  ["classify", "{}"]],
+                         ids=["analyze", "classify", "classify-9-11"])
+def test_cli_process_imports(tmp_path, argv, pure):
+    lines = tmp_path / "nine-to-eleven.g6"
+    lines.write_text("HhCGGE@\nHkSg_SD\nIhCGGC@?G\nJ~~~~~~~~~_\nI????????\n")
     env = child_env(HANGGRAPH_PURE="1") if pure else child_env()
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hanggraph", *argv],
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "hanggraph",
+                           *[arg.format(lines) for arg in argv]],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -94,74 +93,26 @@ def test_self_complementary_known_cases():
     assert not is_self_complementary(complete(4))
 
 
-def permutation_self_complementary(g):
-    """Reference: try every vertex permutation as an isomorphism onto the complement."""
-    n = g.n
-    if n * (n - 1) // 2 != 2 * g.m:
-        return False
-    co = complement(g)
-    deg_g = [g.degree(v) for v in range(n)]
-    deg_c = [co.degree(v) for v in range(n)]
-    if sorted(deg_g) != sorted(deg_c):
-        return False
-    masks = g.masks
-    cmasks = co.masks
-    for perm in itertools.permutations(range(n)):
-        if any(deg_g[v] != deg_c[perm[v]] for v in range(n)):
-            continue
-        ok = True
-        for v in range(n):
-            image = 0
-            mv = masks[v]
-            while mv:
-                low = mv & -mv
-                image |= 1 << perm[low.bit_length() - 1]
-                mv ^= low
-            if image != cmasks[perm[v]]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def test_self_complementary_matches_permutation_search_n5():
+def test_self_complementary_matches_permutation_search_n5(self_complementary_reference):
     for n, labeled in ((0, 1), (1, 1), (2, 0), (3, 0), (4, 12), (5, 72)):
         hits = 0
         for g in iter_graphs(n):
             got = is_self_complementary(g)
-            assert got == permutation_self_complementary(g), g
+            assert got == self_complementary_reference(g), g
             hits += got
         assert hits == labeled, n  # P_4 at n=4; C_5 and the bull at n=5
 
 
-def relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+def test_self_complementary_n8_positives(n8_self_complementary_cases):
+    positives, _ = n8_self_complementary_cases
+    assert all(is_self_complementary(g) for g in positives)
 
 
-def test_self_complementary_n8_positives():
-    # P_4 with its end vertices blown up to 2K_1 and its middle ones to K_2
-    parts = ((0, 1), (2, 3), (4, 5), (6, 7))
-    edges = [(2, 3), (4, 5)]
-    edges += [(x, y) for a, b in ((0, 1), (1, 2), (2, 3)) for x in parts[a] for y in parts[b]]
-    blown_up = from_edge_list(8, edges)
-    rng = random.Random(8)
-    for _ in range(20):
-        assert is_self_complementary(relabeled(blown_up, rng))
-
-
-def test_self_complementary_n8_degree_matched_negatives():
-    rng = random.Random(14)
-    checked = 0
-    while checked < 25:
-        g = graph_from_bits(8, rng.getrandbits(pair_count(8)))
-        degrees = sorted(g.degree(v) for v in range(8))
-        if g.m != 14 or degrees != sorted(7 - d for d in degrees):
-            continue
-        assert is_self_complementary(g) == permutation_self_complementary(g), g
-        checked += 1
+def test_self_complementary_n8_degree_matched_negatives(n8_self_complementary_cases,
+                                                        self_complementary_reference):
+    _, matched = n8_self_complementary_cases
+    for g in matched:
+        assert is_self_complementary(g) == self_complementary_reference(g), g
 
 
 def test_classify_graph_one_classify_masks_call(monkeypatch, fig_h):

@@ -50,7 +50,11 @@ def test_graph_is_an_immutable_value():
         del g.masks
     assert g.adj == ((1, 2), (0, 2), (0, 1))  # cached views still compute and stick
     assert g.adj is g.adj and g.unreached is None
-    assert g == same  # cached views are not fields
+    assert g.m == 3 and vars(g)["m"] == 3 and "m" not in vars(same)  # counted once
+    with pytest.raises(AttributeError):
+        g.m = 4
+    assert g == same and hash(g) == hash(same)  # cached views are not fields
+    assert repr(g) == "Graph(n=3, masks=(6, 5, 3), labels=None)"
 
 
 def test_duplicate_edges_collapse():

@@ -16,6 +16,7 @@ import random
 import shutil
 import subprocess
 import sys
+from functools import cache
 from itertools import chain
 from pathlib import Path
 
@@ -23,14 +24,18 @@ import pytest
 
 from hanggraph import _pykernel as pyk
 from hanggraph import (
+    Graph,
+    Graph6Error,
     all_pairs_distances,
     bfs_distances,
     check_hangable,
     check_hangable_triples,
+    from_graph6,
     is_connected,
     kernels,
     power,
     smallest_hangable_power,
+    to_graph6,
 )
 from hanggraph.corpus import (
     graph_from_bits,
@@ -163,17 +168,20 @@ def classify_masks_lists(kernel, masks):
 
 
 @compiled
-def test_backends_agree_classify_masks_exhaustive_n5():
+def test_backends_agree_classify_masks_exhaustive_n5(self_complementary_reference):
+    complement_flags = pyk.F_COMPLEMENT_CONNECTED | pyk.F_SELF_COMPLEMENTARY
     for n in range(1, 6):
         full = (1 << n) - 1
         for bits in all_bits(n):
             masks = pyk.masks_from_bits(n, bits)
             result = classify_masks_lists(ck, masks)
             assert result == classify_masks_lists(pyk, masks)
-            flags, diam, radius, periphery, kmin, co_dist = result
+            flags, m, diam, radius, periphery, kmin, co_dist = result
             # classify_bits' word is part of classify_masks'
-            flags_g = flags & ~pyk.F_COMPLEMENT_CONNECTED
-            assert (flags_g, diam, radius, kmin) == ck.classify_bits(n, bits)
+            assert (flags & ~complement_flags, diam, radius, kmin) == ck.classify_bits(n, bits)
+            assert m == bits.bit_count()
+            assert (bool(flags & pyk.F_SELF_COMPLEMENTARY)
+                    == self_complementary_reference(Graph(n, tuple(masks))))
             co = [full ^ 1 << v ^ mask for v, mask in enumerate(masks)]
             if pyk.is_connected_masks(co):
                 assert flags & pyk.F_COMPLEMENT_CONNECTED and co_dist == pyk.apsp(co)
@@ -186,6 +194,64 @@ def test_backends_agree_classify_masks_exhaustive_n5():
     for kernel in (pyk, ck):  # a graph with no vertices has no metrics
         with pytest.raises(ValueError):
             kernel.classify_masks([])
+
+
+# the data byte that holds six stream bits, the first of them the most significant
+_REVERSED6 = [int(format(c, "06b")[::-1], 2) for c in range(64)]
+
+
+@cache
+def graph6_pairs(n):
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def graph6_case(n, bits):
+    """(body, masks) of the n-vertex graph whose graph6 stream is ``bits``,
+    bit t for the t-th pair (0,1), (0,2), (1,2), (0,3), ..., straight off the
+    format description."""
+    pairs = graph6_pairs(n)
+    masks = [0] * n
+    rest = bits
+    while rest:
+        low = rest & -rest
+        i, j = pairs[low.bit_length() - 1]
+        masks[i] |= 1 << j
+        masks[j] |= 1 << i
+        rest ^= low
+    body = bytes(63 + _REVERSED6[bits >> 6 * k & 63] for k in range((len(pairs) + 5) // 6))
+    return body, tuple(masks)
+
+
+def self_complementary_flag(kernel, g):
+    return bool(kernel.classify_masks(g.masks)[0] & pyk.F_SELF_COMPLEMENTARY)
+
+
+@compiled
+def test_backends_agree_self_complementary(self_complementary_reference,
+                                           n8_self_complementary_cases):
+    # the exhaustive test above covers both backends on every graph to n = 5;
+    # here the compiled kernel takes every labeled graph on 6 vertices (15
+    # pairs, so none is self-complementary) and the pure twin, at about 70 us
+    # a graph, a seeded sample of them
+    for bits in all_bits(6):
+        masks = graph6_case(6, bits)[1]
+        flags, m = ck.classify_masks(masks)[:2]
+        assert m == bits.bit_count()
+        assert bool(flags & pyk.F_SELF_COMPLEMENTARY) == self_complementary_reference(Graph(6, masks))
+    for bits in random.Random(59).sample(all_bits(6), 300):
+        masks = graph6_case(6, bits)[1]
+        assert pyk.classify_masks(masks)[:2] == ck.classify_masks(masks)[:2]
+    positives, matched = n8_self_complementary_cases
+    for g in positives + matched:
+        want = self_complementary_reference(g)
+        assert self_complementary_flag(ck, g) == self_complementary_flag(pyk, g) == want, g
+    assert all(self_complementary_reference(g) for g in positives)
+    # past SELF_COMPLEMENTARY_MAX_N the search is not run: K_3 x K_3, the
+    # Paley graph on 9 vertices, is self-complementary, and neither kernel says so
+    rook = Graph(9, tuple(sum(1 << u for u in range(9)
+                              if u != v and (u // 3 == v // 3 or u % 3 == v % 3))
+                          for v in range(9)))
+    assert not self_complementary_flag(ck, rook) and not self_complementary_flag(pyk, rook)
 
 
 @compiled
@@ -216,6 +282,62 @@ def test_backends_agree_classify_masks_past_128(monkeypatch):
     masks = random_connected_graph(130, random.Random(41), 0.02).masks
     assert ck.classify_masks(masks) == twin(masks)
     assert calls == [130]
+
+
+@compiled
+def test_backends_agree_graph6_masks(monkeypatch):
+    cases = [graph6_case(n, bits) for n in range(7) for bits in all_bits(n)]
+    rng = random.Random(53)
+    for n in chain(range(7, 24), (31, 32, 62, 63, 64, 65, 90, 127, 128)):
+        pairs = n * (n - 1) // 2
+        sparse = rng.getrandbits(pairs) & rng.getrandbits(pairs) & rng.getrandbits(pairs)
+        for bits in (sparse, rng.getrandbits(pairs), ~sparse & (1 << pairs) - 1):
+            cases.append(graph6_case(n, bits))
+    for body, masks in cases:
+        n = len(masks)
+        assert ck.graph6_masks(n, body) == pyk.graph6_masks(n, body) == masks, (n, body)
+    # nonzero padding bits are never read
+    assert ck.graph6_masks(2, b"~") == pyk.graph6_masks(2, b"~") == (2, 1)
+    # past 128 vertices the compiled module hands the body to the pure twin
+    twin, calls = pyk.graph6_masks, []
+    monkeypatch.setattr(pyk, "graph6_masks", lambda n, body: calls.append(n) or twin(n, body))
+    body, masks = graph6_case(130, rng.getrandbits(130 * 129 // 2))
+    assert ck.graph6_masks(130, body) == masks
+    assert calls == [130]
+    for decode in (ck.graph6_masks, twin):  # a body of the wrong length never reaches C
+        for n, body in ((4, b"??"), (4, b""), (7, b"???"), (1, b"?")):
+            with pytest.raises(ValueError):
+                decode(n, body)
+
+
+@compiled
+def test_backends_agree_graph6_errors(monkeypatch):
+    # every byte of a line broken in turn gives the same error on both
+    # backends: the checks run before the kernel's decoder
+    small = Graph(10, graph6_case(10, 0x155555555555)[1])
+    large = path(70)  # a four-byte size header
+    bad_bytes = (">", "!", "\x7f", "\x00", "\udcff", "\u00e9")
+    for kernel in (ck, pyk):
+        monkeypatch.setattr(kernels, "graph6_masks", kernel.graph6_masks)
+        for g, header in ((small, 1), (large, 4)):
+            line = to_graph6(g)
+            assert from_graph6(line) == g
+            for pos in range(1, len(line)):
+                for bad in bad_bytes:
+                    broken = line[:pos] + bad + line[pos + 1:]
+                    where = "size header" if pos < header else "bit field"
+                    want = f"invalid byte {bad!r} in {where} (byte offset {pos})"
+                    for text in (broken, ">>graph6<<" + broken):
+                        with pytest.raises(Graph6Error) as exc:
+                            from_graph6(text)
+                        assert (str(exc.value), exc.value.offset) == (want, pos)
+            with pytest.raises(Graph6Error) as exc:
+                from_graph6(">" + line[1:])
+            assert str(exc.value) == "invalid leading byte '>' (byte offset 0)"
+            # the first of two bad bytes is the one reported
+            with pytest.raises(Graph6Error) as exc:
+                from_graph6(line[:5] + "!" + line[6:-1] + "\x7f")
+            assert str(exc.value) == "invalid byte '!' in bit field (byte offset 5)"
 
 
 @compiled
@@ -371,8 +493,8 @@ def test_analyze_100_vertices_stays_compiled(monkeypatch, capsys):
 
 
 KERNEL_NAMES = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
-                "is_block_graph_masks", "smallest_power_k", "classify_bits",
-                "corona_verify", "cartesian_verify", "join_verify")
+                "is_block_graph_masks", "smallest_power_k", "classify_bits", "classify_masks",
+                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify")
 
 
 def test_wrapper_backend_reported():

@@ -22,9 +22,14 @@ graph6 bit field goes in as its bytes, and its masks come back as the words
 C filled.
 ``apsp`` and ``classify_masks`` return the ``array('b')`` that C filled, so
 its matrix goes back into a decider as a byte copy; any other flat int
-sequence (the pure twin's list, a test's tuple) takes the same conversion.  A mask crosses as W = ceil(n / 64) words, low word
-first, so C serves every graph up to ``MAXN`` = 128 vertices, where a
-distance still fits a signed byte.  Larger graphs (past 11 vertices for
+sequence (the pure twin's list, a test's tuple) takes the same conversion.
+``profile`` returns the three arrays C filled: the eccentricities
+(``array('b')``), every vertex periphery P(v) as ascending vertex ids, P(0)
+first, then P(1), and so on (``array('B')`` of n * n bytes, of which the
+counts' sum are in use), and |P(v)| per vertex (``array('B')``).
+A mask crosses as W = ceil(n / 64) words, low word first, so C serves
+every graph up to ``MAXN`` = 128 vertices, where a distance still fits a
+signed byte.  Larger graphs (past 11 vertices for
 ``classify_bits``; for the product verifiers, either factor or the product)
 are sent to the pure twin here, so any input gets the pure answer; the twin
 is imported on the first such call, so a process that sends none never loads
@@ -56,6 +61,7 @@ _WORD = (1 << 64) - 1
 # get a fresh output buffer for C to fill
 _ZERO_WORD = array("Q", [0])
 _ZERO_DIST = array("b", [0])
+_ZERO_BYTE = array("B", [0])
 
 
 def compiler() -> list[str]:
@@ -160,6 +166,7 @@ try:
     _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int)
     _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int)
     _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int)
+    _profile = _entry(_lib, "hg_profile", c_int64, _P, c_int, _P, _P, _P)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
     _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P)
     _graph6 = _entry(_lib, "hg_graph6_masks", None, _P, c_int, _P)
@@ -220,6 +227,20 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
         return _py().hangable_triples(dist, n)
     r = _triples(_dist(dist, n), n)
     return (True, -1, -1, -1) if r < 0 else (False, r >> 14, r >> 7 & 127, r & 127)
+
+
+def profile(dist: Sequence[int], n: int) -> tuple[Sequence[int], int, int,
+                                                  Sequence[int], Sequence[int]]:
+    """Mirror of the pure profile.  C fills the three arrays the module
+    docstring describes and packs the diameter in bits 0-7 of its word and
+    the radius in bits 8-15."""
+    if n > MAXN:
+        return _py().profile(dist, n)
+    flat = _dist(dist, n)
+    ecc, members, counts = _ZERO_DIST * n, _ZERO_BYTE * (n * n), _ZERO_BYTE * n
+    r = _profile(flat, n, ecc.buffer_info()[0], members.buffer_info()[0],
+                 counts.buffer_info()[0])
+    return ecc, r & 255, r >> 8, members, counts
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:

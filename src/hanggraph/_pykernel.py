@@ -26,12 +26,19 @@ and takes kmin = 1 from the subset verdict it already has.
 ``classify_masks`` adds the edge count (from bit 40 of the packed word) and
 the two complement flags, the self-complementary one from a backtracking
 search.  ``graph6_masks`` decodes a graph6 bit field into masks.
+``profile`` reads every eccentricity and vertex periphery off a matrix:
+(eccentricities, diameter, radius, members, counts), where members holds
+each P(v) as ascending vertex ids, P(0) first, and counts[v] = |P(v)|; the
+compiled twin returns the same fields in arrays, its diameter and radius
+packed into one word by C.
 ``biconnected_blocks`` has no compiled twin; it serves
 ``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import eq
 from typing import Iterator, Sequence
 
 from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
@@ -135,6 +142,35 @@ def apsp(masks: Sequence[int]) -> list[int]:
 
 def _eccentricities(dist: Sequence[int], n: int) -> list[int]:
     return [max(dist[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def profile(dist: Sequence[int], n: int) -> tuple[list[int], int, int, list[int], list[int]]:
+    """The metric profile of a connected distance matrix.
+
+    Returns (eccentricities, diameter, radius, members, counts): members
+    holds every P(v) as ascending vertex ids, P(0) first, then P(1), and so
+    on, and counts[v] = |P(v)|.  No Python loop visits the entries: a row
+    whose maximum is rare is searched with the sequence's own ``index``, one
+    call per member; a row where it is common, by ``compress`` over its
+    comparisons with the maximum, which costs less than those calls.
+    """
+    ecc: list[int] = []
+    members: list[int] = []
+    counts: list[int] = []
+    for v in range(n):
+        row = dist[v * n:(v + 1) * n]
+        e = max(row)
+        c = row.count(e)
+        if 4 * c > n:
+            members += compress(range(n), map(eq, row, repeat(e)))
+        else:
+            u = -1
+            for _ in range(c):
+                u = row.index(e, u + 1)
+                members.append(u)
+        ecc.append(e)
+        counts.append(c)
+    return ecc, max(ecc), min(ecc), members, counts
 
 
 def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:

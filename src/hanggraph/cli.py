@@ -10,13 +10,16 @@ never start a graph6 line.
 Exit codes: 0 success (for analyze: hangable), 1 analyze's connected-but-not-
 hangable verdict or a FAIL from --oracle-check, 2 unparseable input or bad
 arguments, 3 disconnected input where connectivity is required, 4 search
-budget refused.  All normal output is deterministic: same input, same bytes.
+budget refused, 141 (128 + SIGPIPE, as a shell reports a process SIGPIPE
+ended) when the reader of stdout goes away before the output is written.
+All normal output is deterministic: same input, same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from typing import Iterator, Sequence
@@ -37,6 +40,7 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_BUDGET = 4
+EXIT_PIPE = 141
 
 
 _CHUNK = 1 << 16  # most bytes taken from the input in one read
@@ -488,6 +492,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered, and the interpreter's
+        # last flush, go to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except explorer_mod.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -229,19 +229,18 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # blank lines are skipped.
 
 def parse_edge_list(text: str) -> Graph:
-    tokens: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            tokens.append((lineno, tok))
+    # every line break of str.splitlines is whitespace to str.split, so one
+    # split of the whole text finds the tokens that splitting each line would
+    body = text
+    if "#" in text:
+        body = "\n".join([line.split("#", 1)[0] for line in text.splitlines()])
+    tokens = body.split()
     if len(tokens) < 2:
         raise GraphInputError("edge list needs an 'n m' header line")
-    values = []
-    for lineno, tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise GraphInputError(f"line {lineno}: expected an integer, got {tok!r}") from None
+    try:
+        values = list(map(int, tokens))
+    except ValueError:
+        raise _bad_token_error(body) from None
     n, m = values[0], values[1]
     if n < 0 or m < 0:
         raise GraphInputError("header counts must be non-negative")
@@ -249,8 +248,18 @@ def parse_edge_list(text: str) -> Graph:
     if len(rest) != 2 * m:
         raise GraphInputError(
             f"header announces {m} edges but {len(rest) // 2} endpoint pairs follow")
-    edges = [(rest[2 * i], rest[2 * i + 1]) for i in range(m)]
-    return from_edge_list(n, edges)
+    return from_edge_list(n, zip(rest[0::2], rest[1::2]))
+
+
+def _bad_token_error(body: str) -> GraphInputError:
+    """The error naming the first token of ``body`` that is no integer."""
+    for lineno, line in enumerate(body.splitlines(), start=1):
+        for tok in line.split():
+            try:
+                int(tok)
+            except ValueError:
+                return GraphInputError(f"line {lineno}: expected an integer, got {tok!r}")
+    raise AssertionError("no bad token in the text")
 
 
 def to_edge_list(g: Graph) -> str:

@@ -11,7 +11,13 @@
  *
  * Results that are tuples on the Python side come back packed into one
  * 64-bit integer so that no output buffer is shared between calls; see the
- * comment on each hg_* function for its layout.  The two classify entries
+ * comment on each hg_* function for its layout.  Only arrays go out through
+ * buffers the caller passes in: hg_apsp's matrix, hg_graph6_masks' masks,
+ * the complement's matrix of hg_classify_masks, and hg_profile's three:
+ * the eccentricities (n signed bytes), every vertex periphery P(v) as
+ * ascending vertex ids, P(0) first, then P(1), and so on (at most n * n
+ * bytes), and |P(v)| per vertex (n bytes); its word packs the diameter in
+ * bits 0-7 and the radius in 8-15.  The two classify entries
  * share one layout: flags in bits 0-7, diameter in 8-15, radius in 16-23,
  * kmin in 24-31.  hg_classify_masks adds |P(G)| in bits 32-39 and the edge
  * count m from bit 40, and two flags about the complement:
@@ -318,6 +324,30 @@ int64_t hg_triples(const int8_t *dist, int n)
     if (triples_core(dist, n, ecc, max8(ecc, n), w))
         return -1;
     return (int64_t)w[0] << 14 | w[1] << 7 | w[2];
+}
+
+/* the metric profile: ecc[v] for every vertex, each P(v) as ascending vertex
+ * ids, row after row, into members (at most n * n bytes), and |P(v)| into
+ * counts[v]; returns diameter | radius << 8 */
+int64_t hg_profile(const int8_t *dist, int n, int8_t *ecc, uint8_t *members, uint8_t *counts)
+{
+    int8_t diam = 0, radius = 127;
+    int t = 0;
+    ecc_core(dist, n, ecc);
+    for (int v = 0; v < n; v++) {
+        const int8_t *row = dist + v * n;
+        int8_t e = ecc[v];
+        int start = t;
+        for (int u = 0; u < n; u++)
+            if (row[u] == e)
+                members[t++] = (uint8_t)u;
+        counts[v] = (uint8_t)(t - start);
+        if (e > diam)
+            diam = e;
+        if (e < radius)
+            radius = e;
+    }
+    return (int64_t)radius << 8 | diam;
 }
 
 /* the classify fields of a connected graph with m edges and masks of W

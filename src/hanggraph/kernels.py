@@ -7,7 +7,7 @@ the compiled kernel cannot be built or loaded, everything goes to the pure
 twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
 twin without trying the build.  ``BACKEND`` names the backend in use and
 ``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
-error that kept the compiled kernel out.  The twelve kernel names here are the
+error that kept the compiled kernel out.  The thirteen kernel names here are the
 selected module's own functions; both modules implement the same signatures
 and are equivalence-tested against each other.  The flag bits, verifier
 codes and SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on
@@ -62,9 +62,9 @@ if _c is not None:
     from ._ckernel import (apsp, cartesian_verify, classify_bits, classify_masks,
                            corona_verify, graph6_masks, hangable_subset, hangable_triples,
                            is_block_graph_masks, is_connected_masks, join_verify,
-                           smallest_power_k)
+                           profile, smallest_power_k)
 else:
     from ._pykernel import (apsp, cartesian_verify, classify_bits, classify_masks,
                             corona_verify, graph6_masks, hangable_subset, hangable_triples,
                             is_block_graph_masks, is_connected_masks, join_verify,
-                            smallest_power_k)
+                            profile, smallest_power_k)

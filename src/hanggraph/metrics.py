@@ -13,13 +13,14 @@ farthest-of-farthest triples.
 All metric operations require a connected graph on at least one vertex.
 ``bfs_distances`` is a direct queue BFS over adjacency lists;
 ``all_pairs_distances`` goes through the kernel backend.  Row v of the matrix
-always equals ``bfs_distances(g, v)``.  The kernel runs once per graph: its
-flat matrix is kept on the graph and shared by the profile and both deciders.
+always equals ``bfs_distances(g, v)``.  APSP runs once per graph: its flat
+matrix is kept on the graph and read by the profile kernel and both deciders.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, islice
 from typing import NamedTuple, Sequence
 
 from . import kernels
@@ -42,9 +43,6 @@ class DistanceMatrix(Record):
 
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.rows[v]
-
-    def eccentricity(self, v: int) -> int:
-        return max(self.rows[v])
 
 
 class MetricProfile(NamedTuple):
@@ -97,32 +95,34 @@ def connected_apsp(g: Graph) -> Sequence[int]:
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Full distance matrix via the kernel backend."""
-    flat = connected_apsp(g)
-    n = g.n
-    rows = tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n))
-    return DistanceMatrix(n, rows)
+    flat, n = connected_apsp(g), g.n
+    return DistanceMatrix(n, tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n)))
 
 
 def metric_profile(g: Graph, dm: DistanceMatrix | None = None) -> MetricProfile:
-    if dm is None:
-        dm = all_pairs_distances(g)
-    return profile_of_matrix(dm)
+    """The profile of g's matrix, or of ``dm``'s rows when the caller holds them."""
+    if dm is not None:
+        return profile_of_matrix(dm)
+    return _profile(connected_apsp(g), g.n)
 
 
 def profile_of_matrix(dm: DistanceMatrix) -> MetricProfile:
-    ecc = tuple(max(row) for row in dm.rows)
-    diameter = max(ecc)
-    radius = min(ecc)
-    vp = tuple(frozenset(u for u, d in enumerate(row) if d == ecc[v])
-               for v, row in enumerate(dm.rows))
-    gp = frozenset(v for v, e in enumerate(ecc) if e == diameter)
-    return MetricProfile(ecc, diameter, radius, vp, gp)
+    return _profile(list(chain.from_iterable(dm.rows)), dm.n)
+
+
+def _profile(flat: Sequence[int], n: int) -> MetricProfile:
+    """One kernel call; each P(v) is the next |P(v)| of the ``members`` ids."""
+    ecc, diameter, radius, members, counts = kernels.profile(flat, n)
+    ids = iter(members)
+    vp = tuple([frozenset(islice(ids, c)) for c in counts])
+    gp = frozenset([v for v, e in enumerate(ecc) if e == diameter])
+    return MetricProfile(tuple(ecc), diameter, radius, vp, gp)
 
 
 def is_self_centered(g: Graph) -> bool:
     """True iff radius equals diameter, i.e. P(G) is all of V."""
-    profile = metric_profile(g)
-    return profile.radius == profile.diameter
+    _, diameter, radius, _, _ = kernels.profile(connected_apsp(g), g.n)
+    return radius == diameter
 
 
 def check_hangable(g: Graph) -> HangabilityReport:
@@ -131,8 +131,7 @@ def check_hangable(g: Graph) -> HangabilityReport:
     When the graph is not hangable the witness is the lexicographically first
     (v, u) with u in P(v) but outside P(G).
     """
-    flat = connected_apsp(g)
-    ok, v, u = kernels.hangable_subset(flat, g.n)
+    ok, v, u = kernels.hangable_subset(connected_apsp(g), g.n)
     if ok:
         return HangabilityReport(True)
     return HangabilityReport(False, witness=(v, u))
@@ -146,8 +145,7 @@ def check_hangable_triples(g: Graph) -> HangabilityReport:
     ``check_hangable`` reports: the first violating pair starts the first
     violating triple.
     """
-    flat = connected_apsp(g)
-    ok, v, u, w = kernels.hangable_triples(flat, g.n)
+    ok, v, u, w = kernels.hangable_triples(connected_apsp(g), g.n)
     if ok:
         return HangabilityReport(True)
     return HangabilityReport(False, witness=(v, u), triple_witness=(v, u, w))

@@ -15,6 +15,9 @@ the kernels' backtracking, and
 ``n8_self_complementary_cases`` gives the n = 8 graphs that search must get
 right: relabelings of a self-complementary graph, and graphs whose degrees
 match their complement's.
+``profile_reference`` builds a ``MetricProfile`` from distance rows by
+scanning every entry in Python, as the package did before the profile became
+a kernel call; it checks both kernels' ``profile`` and ``metric_profile``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cache
 
 import pytest
 
-from hanggraph import Graph, complement, from_edge_list, kernels
+from hanggraph import Graph, MetricProfile, complement, from_edge_list, kernels
 
 FIG_G_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3), (2, 4)]
 FIG_H_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3)]
@@ -157,3 +160,19 @@ def _n8_self_complementary_cases() -> tuple[tuple[Graph, ...], tuple[Graph, ...]
 @pytest.fixture
 def n8_self_complementary_cases():
     return _n8_self_complementary_cases()
+
+
+def _profile_by_rows(rows) -> MetricProfile:
+    """The metric profile of the distance rows of a connected graph."""
+    ecc = tuple(max(row) for row in rows)
+    diameter = max(ecc)
+    radius = min(ecc)
+    vp = tuple(frozenset(u for u, d in enumerate(row) if d == ecc[v])
+               for v, row in enumerate(rows))
+    gp = frozenset(v for v, e in enumerate(ecc) if e == diameter)
+    return MetricProfile(ecc, diameter, radius, vp, gp)
+
+
+@pytest.fixture(scope="session")  # session scope, so hypothesis tests may take it
+def profile_reference():
+    return _profile_by_rows

@@ -343,7 +343,9 @@ def test_product_corona_oracle_one_base_matrix(monkeypatch, capsys):
     monkeypatch.setattr(metrics, "all_pairs_distances", counting_all_pairs)
     code, out = run(capsys, "product", "corona", "path:4", "complete:2", "--oracle-check")
     assert code == 0 and "FAIL" not in out
-    assert sizes == [4, 12]  # the base once, shared with its profile; the product once
+    # the base once, shared with its profile; the product's profile reads its
+    # flat kernel matrix and builds no row tuples
+    assert sizes == [4]
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -352,6 +354,20 @@ def test_analyze_one_apsp(monkeypatch, capsys, fmt):
     code, out = run(capsys, "analyze", "grid:3x4", "--format", fmt)
     assert code == 0 and out
     assert sizes == [12]
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_analyze_one_call_per_kernel(monkeypatch, capsys, fmt):
+    # the profile and the triples decider share the one matrix; the subset
+    # decider is not asked, since the triples witness starts with its pair
+    calls = []
+    for name in ("apsp", "profile", "hangable_subset", "hangable_triples"):
+        counted = (lambda *a, _name=name, _kernel=getattr(kernels, name):
+                   calls.append(_name) or _kernel(*a))
+        monkeypatch.setattr(kernels, name, counted)
+    code, out = run(capsys, "analyze", "grid:3x4", "--format", fmt)
+    assert code == 0 and out
+    assert sorted(calls) == ["apsp", "hangable_triples", "profile"]
 
 
 def test_analyze_disconnected_exits_before_apsp(monkeypatch, tmp_path, capsys):
@@ -759,3 +775,19 @@ def test_cli_process_imports(tmp_path, argv, pure):
     assert "dataclasses" not in loaded and "inspect" not in loaded
     compiled = not pure and kernels.BACKEND == "compiled"
     assert ("hanggraph._pykernel" in loaded) != compiled
+
+
+def test_closed_stdout_ends_quietly_with_141(tmp_path):
+    # 20,000 rows outgrow the pipe's buffer, so the child is still writing
+    # when the reader closes the pipe after the header line
+    corpus = tmp_path / "many.g6"
+    corpus.write_text("D~{\n" * 20_000)
+    proc = subprocess.Popen([sys.executable, "-m", "hanggraph", "classify", str(corpus)],
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert header.startswith(b"# n\tm\t")
+    assert "Traceback" not in err and code == 141, err

@@ -223,6 +223,74 @@ def test_parse_edge_list_missing_header():
         parse_edge_list("")
 
 
+def parse_edge_list_by_lines(text: str) -> Graph:
+    """The edge-list parser as it was before the one-pass split: each line
+    split on its own, its comment cut first, and each token converted with
+    its line number at hand."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split("#", 1)[0].split():
+            tokens.append((lineno, tok))
+    if len(tokens) < 2:
+        raise GraphInputError("edge list needs an 'n m' header line")
+    values = []
+    for lineno, tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise GraphInputError(f"line {lineno}: expected an integer, got {tok!r}") from None
+    n, m = values[0], values[1]
+    if n < 0 or m < 0:
+        raise GraphInputError("header counts must be non-negative")
+    rest = values[2:]
+    if len(rest) != 2 * m:
+        raise GraphInputError(
+            f"header announces {m} edges but {len(rest) // 2} endpoint pairs follow")
+    return from_edge_list(n, [(rest[2 * i], rest[2 * i + 1]) for i in range(m)])
+
+
+# every line break str.splitlines knows, and whitespace that breaks no line
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+SPACES = (" ", "  ", "\t", "\x1f", "\xa0", "\u3000", "\u2009")
+# tokens int() refuses, and ones it takes that a digit test would not
+ODD_TOKENS = ("x", "1.5", "0x3", "--1", "\u0663", "1_0", "+2", "-1", "9" * 5000)
+
+
+def parse_outcome(parse, text: str):
+    try:
+        g = parse(text)
+    except GraphInputError as exc:
+        return "error", str(exc)
+    return g.n, g.masks
+
+
+def test_parse_edge_list_matches_line_by_line_parse():
+    rng = random.Random(43)
+    for case in range(400):
+        n = rng.randint(2, 7)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 8))]
+        if case % 9 == 0:  # a self-loop or an endpoint out of range
+            pairs.append((n - 1, n - 1 + case % 2))
+        lines = [f"{n} {len(pairs) + (case % 11 == 0)}"] + [f"{u} {v}" for u, v in pairs]
+        lines = [rng.choice(SPACES).join(line.split()) for line in lines]
+        for _ in range(rng.randint(0, 3)):  # comments and blank lines
+            extra = rng.choice(["# note 1 2", "#", "", rng.choice(SPACES),
+                                f"# {rng.choice(ODD_TOKENS)}"])
+            lines.insert(rng.randint(0, len(lines)), extra)
+        if case % 4 == 1:
+            k = rng.randrange(len(lines))
+            lines[k] += rng.choice(SPACES) + rng.choice(ODD_TOKENS)
+        if case % 3 == 0:
+            k = rng.randrange(len(lines))
+            lines[k] += " #" + rng.choice(ODD_TOKENS + ("3 4",))
+        text = "".join(line + rng.choice(LINE_BREAKS) for line in lines)
+        if case % 4 == 0:
+            text = text[:rng.randint(0, len(text))]
+        want = parse_outcome(parse_edge_list_by_lines, text)
+        assert parse_outcome(parse_edge_list, text) == want, repr(text)
+
+
 def test_graph_is_hashable_and_frozen(fig_g):
     with pytest.raises(Exception):
         fig_g.n = 7  # type: ignore[misc]

@@ -395,6 +395,44 @@ def test_backends_agree_product_verifiers():
             kernel.join_verify([], [])
 
 
+def profile_lists(kernel, dist, n):
+    """``kernel.profile`` as lists, its member ids cut to the ones in use."""
+    ecc, diameter, radius, members, counts = kernel.profile(dist, n)
+    return list(ecc), diameter, radius, list(members[:sum(counts)]), list(counts)
+
+
+@compiled
+def test_backends_agree_profile(monkeypatch, one_labeling_per_class, profile_reference):
+    rng = random.Random(31)
+    graphs = [g for n in range(1, 6) for g in iter_graphs(n, connected_only=True)]
+    graphs += [g for g in one_labeling_per_class(6) if is_connected(g)]
+    # one and two words per mask, each P(v) from a single vertex to most of V
+    sizes = (7, 9, 12, 20, 31, 40, 50, 63, 64, 65, 72, 80, 90, 100, 110, 120, 127, 128)
+    graphs += [random_connected_graph(n, rng, (0.05, 0.5)[k % 2]) for k, n in enumerate(sizes)]
+    graphs += [path(128), complete(128)]
+    for g in graphs:
+        n = g.n
+        da, db = pyk.apsp(g.masks), ck.apsp(g.masks)
+        ref = profile_reference([da[v * n:(v + 1) * n] for v in range(n)])
+        want = (list(ref.eccentricity), ref.diameter, ref.radius,
+                [u for p in ref.vertex_periphery for u in sorted(p)],
+                [len(p) for p in ref.vertex_periphery])
+        assert profile_lists(pyk, da, n) == want
+        # the compiled kernel takes its own array and the pure list alike
+        assert profile_lists(ck, db, n) == want
+        assert profile_lists(ck, da, n) == want
+    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
+        with pytest.raises(ValueError):
+            kernel.profile([], 0)
+    # past 128 vertices the compiled module hands the call to the pure twin
+    twin, calls = pyk.profile, []
+    monkeypatch.setattr(pyk, "profile", lambda dist, n: calls.append(n) or twin(dist, n))
+    g = random_connected_graph(130, rng, 0.05)
+    dist = pyk.apsp(g.masks)
+    assert ck.profile(dist, 130) == twin(dist, 130)
+    assert calls == [130]
+
+
 @compiled
 def test_compiled_rejects_mismatched_distance_length():
     # the length check guards C against reading past the matrix it is given
@@ -407,6 +445,8 @@ def test_compiled_rejects_mismatched_distance_length():
             ck.hangable_triples(dist, n)
         with pytest.raises(ValueError):
             ck.smallest_power_k(dist, n)
+        with pytest.raises(ValueError):
+            ck.profile(dist, n)
     for dist in (FIG_H_DIST[:-1], FIG_H_DIST + [0], []):
         with pytest.raises(ValueError):
             ck.corona_verify(mg, dist, mh)
@@ -494,7 +534,7 @@ def test_analyze_100_vertices_stays_compiled(monkeypatch, capsys):
 
 KERNEL_NAMES = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
                 "is_block_graph_masks", "smallest_power_k", "classify_bits", "classify_masks",
-                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify")
+                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify", "profile")
 
 
 def test_wrapper_backend_reported():

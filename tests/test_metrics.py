@@ -215,7 +215,7 @@ def test_checkers_agree(nb):
 
 @PROPERTY_SETTINGS
 @given(bits_strategy(6))
-def test_profile_consistency(nb):
+def test_profile_consistency(profile_reference, nb):
     n, bits = nb
     g = graph_from_bits(n, bits)
     from hanggraph import is_connected
@@ -224,7 +224,8 @@ def test_profile_consistency(nb):
         return
     dm = all_pairs_distances(g)
     prof = metric_profile(g, dm)
-    assert prof == profile_of_matrix(dm)
+    assert prof == profile_of_matrix(dm) == metric_profile(g)
+    assert prof == profile_reference(dm.rows)
     assert prof.diameter == max(prof.eccentricity)
     assert prof.radius == min(prof.eccentricity)
     assert prof.diameter <= 2 * prof.radius

@@ -23,7 +23,7 @@ from .metrics import (DistanceMatrix, HangabilityReport, MetricProfile,
                       all_pairs_distances, bfs_distances, check_hangable,
                       check_hangable_triples, is_self_centered, metric_profile)
 from .products import (CartesianMetrics, CoronaMetrics, ProductVertexMap,
-                       cartesian, cartesian_metric_oracle, corona,
+                       cartesian, cartesian_distance_matrix, cartesian_metric_oracle, corona,
                        corona_distance_matrix, corona_distance_oracle,
                        corona_metric_oracle, join, join_hangability_predicate,
                        universal_vertices)
@@ -48,6 +48,7 @@ __all__ = [
     "bfs_distances",
     "biconnected_components",
     "cartesian",
+    "cartesian_distance_matrix",
     "cartesian_metric_oracle",
     "check_hangable",
     "check_hangable_triples",

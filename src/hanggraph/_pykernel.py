@@ -572,7 +572,9 @@ def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     """Join hangability rule versus brute force; 0 iff they agree.
 
     The rule: the join is hangable iff it is complete or has at most one
-    universal vertex.  Factors may be disconnected; the join never is.
+    universal vertex.  Both factors must be nonempty: then the join is
+    connected even when a factor is not.  ``join_verify([], P2+K1)``, whose
+    join is disconnected, reports a mismatch on both backends.
     """
     ng = len(masks_g)
     nh = len(masks_h)

@@ -1,8 +1,8 @@
 """Immutable records for the classes that cannot be a ``typing.NamedTuple``.
 
 Pure-data records are NamedTuples.  ``Record`` serves the rest: a class that
-needs ``functools.cached_property`` (hence an instance ``__dict__``), its
-own ``__getitem__``, or fields whose names start with ``_``.  It behaves as
+needs ``functools.cached_property`` (hence an instance ``__dict__``) or its
+own ``__getitem__``, as ``Graph`` and ``DistanceMatrix`` do.  It behaves as
 a frozen dataclass would, without importing ``dataclasses`` (which loads
 ``inspect`` and ``ast`` into every process): equality and hashing compare
 the fields named in ``_fields``, only between records of the same class;

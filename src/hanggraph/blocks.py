@@ -28,13 +28,10 @@ class BlockDecomposition(NamedTuple):
     # every block is a clique: the answer of is_block_graph, from the same DFS
     block_graph: bool
 
-    def to_text(self, g: Graph | None = None) -> str:
-        def name(v: int) -> str:
-            return g.label_of(v) if g is not None else str(v)
-
-        lines = ["block: " + " ".join(name(v) for v in blk) for blk in self.blocks]
+    def to_text(self, g: Graph) -> str:
+        lines = ["block: " + " ".join(g.label_of(v) for v in blk) for blk in self.blocks]
         lines.append("cut_vertices: " +
-                     " ".join(name(v) for v in sorted(self.cut_vertices)))
+                     " ".join(g.label_of(v) for v in sorted(self.cut_vertices)))
         return "\n".join(lines) + "\n"
 
 

@@ -100,16 +100,17 @@ def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
         g = generators.from_expression(source)
     else:
         every_line = [line for chunk in _input_lines(source) for line in chunk]
-        lines = [ln for ln in every_line if ln.strip() and not ln.lstrip().startswith("#")]
-        if not lines:
+        lines = (ln for ln in every_line if ln.strip() and not ln.lstrip().startswith("#"))
+        first = next(lines, None)
+        if first is None:
             raise GraphInputError(f"no graph found in {source!r}")
-        if lines[0].lstrip()[0].isdigit():
+        if first.lstrip()[0].isdigit():
             g = parse_edge_list("\n".join(every_line))
         else:
-            if len(lines) > 1:
-                raise GraphInputError(
-                    f"{source!r} holds {len(lines)} graph6 lines; expected one graph")
-            g = g6.from_graph6(lines[0])
+            count = 1 + sum(1 for _ in lines)
+            if count > 1:
+                raise GraphInputError(f"{source!r} holds {count} graph6 lines; expected one graph")
+            g = g6.from_graph6(first)
     if labels is not None:
         if len(labels) != g.n:
             raise GraphInputError(
@@ -222,13 +223,12 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
     """Each closed-form statement against BFS on the product: (lines, failed)."""
     try:
         if kind == "corona":
-            dist_g = metrics_mod.all_pairs_distances(g)  # fails first on a bad base
-            g_profile = metrics_mod.metric_profile(g, dist_g)
-            oracle = products_mod.corona_metric_oracle(g, h, g_profile)
-            distances = products_mod.corona_distance_matrix(dist_g, h)
+            metrics_mod.connected_apsp(g)  # an empty or disconnected base fails first
+            oracle = products_mod.corona_metric_oracle(g, h)
+            distances = products_mod.corona_distance_matrix(g, h)
         elif kind == "cartesian":
             oracle = products_mod.cartesian_metric_oracle(g, h)
-            distances = oracle.distance_matrix()
+            distances = products_mod.cartesian_distance_matrix(g, h)
         elif prod.n < 1:
             raise GraphInputError("empty join")
     except (GraphInputError, DisconnectedGraphError) as exc:

@@ -53,16 +53,16 @@ def _size_group(s: str, offset: int, count: int) -> int:
     return val
 
 
-def _decode_size(s: str) -> tuple[int, int]:
-    """Returns (n, bytes consumed)."""
-    first = ord(s[0]) - 63
+def _decode_size(s: str, start: int) -> tuple[int, int]:
+    """Returns (n, offset just past the header) for the header at ``s[start]``."""
+    first = ord(s[start]) - 63
     if first < 0 or first > 63:
-        raise Graph6Error(f"invalid leading byte {s[0]!r}", offset=0)
+        raise Graph6Error(f"invalid leading byte {s[start]!r}", offset=start)
     if first < 63:  # any byte but "~" is the whole header
-        return first, 1
-    if len(s) >= 2 and s[1] == "~":
-        return _size_group(s, 2, 6), 8
-    return _size_group(s, 1, 3), 4
+        return first, start + 1
+    if s.startswith("~", start + 1):
+        return _size_group(s, start + 2, 6), start + 8
+    return _size_group(s, start + 1, 3), start + 4
 
 
 def to_graph6(g: Graph) -> str:
@@ -81,24 +81,25 @@ def to_graph6(g: Graph) -> str:
 
 
 def from_graph6(line: str) -> Graph:
-    """Decode one graph6 line; the optional ">>graph6<<" prefix is stripped."""
-    s = line.strip()
-    if s.startswith(PREFIX):
-        s = s[len(PREFIX):]
-    if not s:
-        raise Graph6Error("empty graph6 string", offset=0)
-    n, consumed = _decode_size(s)
-    body = s[consumed:]
+    """Decode one graph6 line; error offsets count from the start of ``line``."""
+    s = line.rstrip()
+    start = len(s) - len(s.lstrip())
+    if s.startswith(PREFIX, start):
+        start += len(PREFIX)
+    if start == len(s):
+        raise Graph6Error("empty graph6 string", offset=start)
+    n, end = _decode_size(s, start)
+    body = s[end:]
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(body) < need:
         raise Graph6Error(
             f"truncated bit field: need {need} bytes for {n} vertices, got {len(body)}",
-            offset=consumed + len(body))
+            offset=end + len(body))
     if len(body) > need:
-        raise Graph6Error("trailing data after bit field", offset=consumed + need)
+        raise Graph6Error("trailing data after bit field", offset=end + need)
     invalid = _INVALID.search(body)
     if invalid:
         pos = invalid.start()
-        raise Graph6Error(f"invalid byte {body[pos]!r} in bit field", offset=consumed + pos)
+        raise Graph6Error(f"invalid byte {body[pos]!r} in bit field", offset=end + pos)
     return Graph(n, kernels.graph6_masks(n, body.encode("ascii")))

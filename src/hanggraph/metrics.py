@@ -14,7 +14,8 @@ All metric operations require a connected graph on at least one vertex.
 ``bfs_distances`` is a direct queue BFS over adjacency lists;
 ``all_pairs_distances`` goes through the kernel backend.  Row v of the matrix
 always equals ``bfs_distances(g, v)``.  APSP runs once per graph: its flat
-matrix is kept on the graph and read by the profile kernel and both deciders.
+matrix is kept on the graph and read by the profile kernel, both deciders
+and the product oracles.
 """
 
 from __future__ import annotations
@@ -99,10 +100,8 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(n, tuple(tuple(flat[u * n:(u + 1) * n]) for u in range(n)))
 
 
-def metric_profile(g: Graph, dm: DistanceMatrix | None = None) -> MetricProfile:
-    """The profile of g's matrix, or of ``dm``'s rows when the caller holds them."""
-    if dm is not None:
-        return profile_of_matrix(dm)
+def metric_profile(g: Graph) -> MetricProfile:
+    """Eccentricities, diameter, radius and peripheries, from g's one matrix."""
     return _profile(connected_apsp(g), g.n)
 
 

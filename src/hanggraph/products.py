@@ -8,25 +8,27 @@ ProductVertexMap alongside the graph:
   cartesian(g, h)  pair (a, b) gets id a*nh + b (row-major)
   join(g, h)       g's vertices first, then h's shifted by ng
 
-The oracles restate the product metrics purely in factor terms, without
-running BFS on the product; they exist to be checked against the BFS route.
-Distances come both per pair (``corona_distance_oracle``,
-``CartesianMetrics.distance``) and as a whole flat matrix built from the
-factor rows (``corona_distance_matrix``, ``CartesianMetrics.distance_matrix``).
+The oracles restate the product metrics purely in factor terms and never
+build the product; they exist to be checked against BFS on the built product.
+The corona and box-product forms read each factor's cached distance matrix;
+``corona_distance_matrix`` and ``cartesian_distance_matrix`` build the whole
+flat product matrix from its rows, and ``corona_distance_oracle`` gives one
+corona distance from a ``DistanceMatrix``.
 For the corona (base connected, at least 2 vertices; copies nonempty):
 distances gain +1 per copy endpoint (same-base copies: 1 if the copy factor
 has that edge, else 2), the diameter is the base diameter +2, and every
 periphery is P_base x V_copy.  For the box product of connected factors,
 distances, eccentricities and the diameter add, and peripheries multiply.
+The join is hangable iff it is complete or has at most one universal vertex,
+read from each factor's universal vertices.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._record import Record
 from .graph import Graph, GraphInputError, _build
-from .metrics import DistanceMatrix, MetricProfile, all_pairs_distances, metric_profile
+from .metrics import DistanceMatrix, connected_apsp, metric_profile
 
 
 class ProductVertexMap(NamedTuple):
@@ -46,21 +48,15 @@ class ProductVertexMap(NamedTuple):
     def cartesian_id(self, a: int, b: int) -> int:
         return a * self.h_n + b
 
-    def describe(self, i: int, g: Graph | None = None, h: Graph | None = None) -> str:
-        def gl(v: int) -> str:
-            return g.label_of(v) if g is not None else str(v)
-
-        def hl(x: int) -> str:
-            return h.label_of(x) if h is not None else str(x)
-
+    def describe(self, i: int, g: Graph, h: Graph) -> str:
         entry = self.entries[i]
         if entry[0] == "g":
-            return gl(entry[1])
+            return g.label_of(entry[1])
         if entry[0] == "h":
-            return hl(entry[1])
-        return f"({gl(entry[1])},{hl(entry[2])})"
+            return h.label_of(entry[1])
+        return f"({g.label_of(entry[1])},{h.label_of(entry[2])})"
 
-    def to_text(self, g: Graph | None = None, h: Graph | None = None) -> str:
+    def to_text(self, g: Graph, h: Graph) -> str:
         lines = [f"{i} ↦ {self.describe(i, g, h)}"
                  for i in range(len(self.entries))]
         return "\n".join(lines) + "\n"
@@ -160,24 +156,31 @@ def corona_distance_oracle(dist_g: DistanceMatrix, h: Graph, p: int, q: int) -> 
     return 1 if h.has_edge(x, y) else 2
 
 
-def corona_distance_matrix(dist_g: DistanceMatrix, h: Graph) -> list[int]:
+def _rows(g: Graph) -> list[list[int]]:
+    """The rows of g's cached distance matrix."""
+    flat, n = list(connected_apsp(g)), g.n
+    return [flat[u * n:(u + 1) * n] for u in range(n)]
+
+
+def corona_distance_matrix(g: Graph, h: Graph) -> list[int]:
     """Every corona distance, flat row-major in product ids.
 
     Built row by row from the base distance rows; entry p * total + q equals
-    ``corona_distance_oracle(dist_g, h, p, q)``, with the same base-size
-    requirement.
+    ``corona_distance_oracle(all_pairs_distances(g), h, p, q)``, with the
+    same base-size requirement.
     """
-    ng, nh = dist_g.n, h.n
+    ng, nh = g.n, h.n
     if ng < 2:
         raise GraphInputError("corona distance forms need a base with at least 2 vertices")
+    rows = _rows(g)
     # from copy x to the copies over its own base vertex
     same_base = [[0 if y == x else 1 if h.has_edge(x, y) else 2 for y in range(nh)]
                  for x in range(nh)]
     flat: list[int] = []
-    for row in dist_g.rows:  # base vertices
+    for row in rows:  # base vertices
         flat += row
         flat += [d + 1 for d in row for _ in range(nh)]
-    for u, row in enumerate(dist_g.rows):  # the copies over base vertex u
+    for u, row in enumerate(rows):  # the copies over base vertex u
         to_base = [d + 1 for d in row]
         to_copies = [d + 2 for d in row for _ in range(nh)]
         for x in range(nh):
@@ -194,8 +197,7 @@ class CoronaMetrics(NamedTuple):
     graph_periphery: frozenset[int]
 
 
-def corona_metric_oracle(g: Graph, h: Graph,
-                         g_profile: MetricProfile | None = None) -> CoronaMetrics:
+def corona_metric_oracle(g: Graph, h: Graph) -> CoronaMetrics:
     """Corona metrics in product ids, computed from the base profile only.
 
     Diameter is the base diameter +2; the periphery of any product vertex
@@ -207,74 +209,51 @@ def corona_metric_oracle(g: Graph, h: Graph,
         raise GraphInputError("corona metric forms need a base with at least 2 vertices")
     if h.n < 1:
         raise GraphInputError("corona metric forms need a nonempty copy factor")
-    if g_profile is None:
-        g_profile = metric_profile(g)  # raises when g is disconnected
+    g_profile = metric_profile(g)  # raises when g is disconnected
     ng, nh = g.n, h.n
 
     def copies(base_set: frozenset[int]) -> frozenset[int]:
         return frozenset(ng + v * nh + x for v in base_set for x in range(nh))
 
-    vp = []
-    for p in range(ng * (1 + nh)):
-        u = p if p < ng else (p - ng) // nh
-        vp.append(copies(g_profile.vertex_periphery[u]))
+    per_base = [copies(base_set) for base_set in g_profile.vertex_periphery]
+    # base vertices first, then each base's nh copies, which share its periphery
+    vp = per_base + [vp_u for vp_u in per_base for _ in range(nh)]
     return CoronaMetrics(
         diameter=g_profile.diameter + 2,
         vertex_periphery=tuple(vp),
         graph_periphery=copies(g_profile.graph_periphery))
 
 
-class CartesianMetrics(Record):
+class CartesianMetrics(NamedTuple):
     eccentricity: tuple[int, ...]
     diameter: int
     vertex_periphery: tuple[frozenset[int], ...]
     graph_periphery: frozenset[int]
-    _dist_g: DistanceMatrix
-    _dist_h: DistanceMatrix
-    _fields = ("eccentricity", "diameter", "vertex_periphery", "graph_periphery",
-               "_dist_g", "_dist_h")
 
-    def __init__(self, eccentricity: tuple[int, ...], diameter: int,
-                 vertex_periphery: tuple[frozenset[int], ...],
-                 graph_periphery: frozenset[int],
-                 _dist_g: DistanceMatrix, _dist_h: DistanceMatrix):
-        fields = self.__dict__
-        fields["eccentricity"] = eccentricity
-        fields["diameter"] = diameter
-        fields["vertex_periphery"] = vertex_periphery
-        fields["graph_periphery"] = graph_periphery
-        fields["_dist_g"] = _dist_g
-        fields["_dist_h"] = _dist_h
 
-    def distance(self, p: int, q: int) -> int:
-        nh = self._dist_h.n
-        return (self._dist_g.dist(p // nh, q // nh)
-                + self._dist_h.dist(p % nh, q % nh))
-
-    def distance_matrix(self) -> list[int]:
-        """Every product distance, flat row-major; entry p * n + q equals
-        ``distance(p, q)``.  Row (a, b) sums row a of the first factor's
-        matrix with row b of the second's, pair by pair."""
-        flat: list[int] = []
-        for row_g in self._dist_g.rows:
-            for row_h in self._dist_h.rows:
-                flat += [x + y for x in row_g for y in row_h]
-        return flat
+def cartesian_distance_matrix(g: Graph, h: Graph) -> list[int]:
+    """Every box-product distance, flat row-major in product ids: row (a, b)
+    sums row a of g's matrix with row b of h's, pair by pair.  Both factors
+    must be connected and nonempty."""
+    rows_h = _rows(h)
+    flat: list[int] = []
+    for row_g in _rows(g):
+        for row_h in rows_h:
+            flat += [x + y for x in row_g for y in row_h]
+    return flat
 
 
 def cartesian_metric_oracle(g: Graph, h: Graph) -> CartesianMetrics:
     """Box-product metrics from factor metrics only: everything adds.
 
-    distance((a,b),(c,d)) = d_g(a,c) + d_h(b,d); eccentricities and the
-    diameter add; the periphery of (a, b) is P_g(a) x P_h(b) and the graph
-    periphery is P(g) x P(h).  Both factors must be connected and nonempty.
+    Eccentricities and the diameter add; the periphery of (a, b) is
+    P_g(a) x P_h(b) and the graph periphery is P(g) x P(h).  Both factors
+    must be connected and nonempty.
     """
     if g.n < 1 or h.n < 1:
         raise GraphInputError("box product metric forms need nonempty factors")
-    dist_g = all_pairs_distances(g)
-    dist_h = all_pairs_distances(h)
-    g_profile = metric_profile(g, dist_g)
-    h_profile = metric_profile(h, dist_h)
+    g_profile = metric_profile(g)
+    h_profile = metric_profile(h)
     nh = h.n
     ecc = tuple(g_profile.eccentricity[a] + h_profile.eccentricity[b]
                 for a in range(g.n) for b in range(nh))
@@ -285,13 +264,7 @@ def cartesian_metric_oracle(g: Graph, h: Graph) -> CartesianMetrics:
     gp = frozenset(c * nh + d
                    for c in g_profile.graph_periphery
                    for d in h_profile.graph_periphery)
-    return CartesianMetrics(
-        eccentricity=ecc,
-        diameter=g_profile.diameter + h_profile.diameter,
-        vertex_periphery=vp,
-        graph_periphery=gp,
-        _dist_g=dist_g,
-        _dist_h=dist_h)
+    return CartesianMetrics(ecc, g_profile.diameter + h_profile.diameter, vp, gp)
 
 
 def universal_vertices(g: Graph) -> frozenset[int]:
@@ -300,12 +273,14 @@ def universal_vertices(g: Graph) -> frozenset[int]:
 
 
 def join_hangability_predicate(g: Graph, h: Graph) -> bool:
-    """Hangability of join(g, h) without any metric computation.
+    """Hangability of join(g, h) from the factors alone, without building it.
 
-    The join of nonempty graphs has diameter at most 2, and it is hangable
-    exactly when it is complete or has at most one universal vertex.
+    When both factors are nonempty the join has diameter at most 2, and it is
+    hangable exactly when it is complete or has at most one universal vertex.
+    Each vertex is adjacent to all of the other side, so it is universal in
+    the join iff it is universal in its own factor, and the join is complete
+    iff both factors are.
     """
-    jg, _ = join(g, h)
-    if jg.m == jg.n * (jg.n - 1) // 2:
-        return True
-    return len(universal_vertices(jg)) <= 1
+    ug, uh = universal_vertices(g), universal_vertices(h)
+    complete = len(ug) == g.n and len(uh) == h.n
+    return complete or len(ug) + len(uh) <= 1

@@ -209,7 +209,6 @@ def test_criterion_4_corona_oracles():
     for ng in range(2, 6):
         for g in iter_graphs(ng, connected_only=True):
             dg = all_pairs_distances(g)
-            prof_g = metric_profile(g, dg)
             hang_g = check_hangable(g).hangable
             for h in hs:
                 c, _ = corona(g, h)
@@ -217,8 +216,8 @@ def test_criterion_4_corona_oracles():
                 for p in range(c.n):
                     for q in range(c.n):
                         assert corona_distance_oracle(dg, h, p, q) == dm.dist(p, q)
-                om = corona_metric_oracle(g, h, prof_g)
-                prof_c = metric_profile(c, dm)
+                om = corona_metric_oracle(g, h)
+                prof_c = metric_profile(c)
                 assert om.diameter == prof_c.diameter
                 assert om.vertex_periphery == prof_c.vertex_periphery
                 assert om.graph_periphery == prof_c.graph_periphery

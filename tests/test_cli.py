@@ -333,19 +333,14 @@ def test_product_oracle_check_one_product_apsp(monkeypatch, capsys, kind, g, h):
 
 
 def test_product_corona_oracle_one_base_matrix(monkeypatch, capsys):
-    sizes = []
-    all_pairs = metrics.all_pairs_distances
-
-    def counting_all_pairs(g):
-        sizes.append(g.n)
-        return all_pairs(g)
-
-    monkeypatch.setattr(metrics, "all_pairs_distances", counting_all_pairs)
+    sizes = count_apsp_calls(monkeypatch)
+    row_tuples = []
+    monkeypatch.setattr(metrics, "all_pairs_distances", lambda g: row_tuples.append(g.n))
     code, out = run(capsys, "product", "corona", "path:4", "complete:2", "--oracle-check")
     assert code == 0 and "FAIL" not in out
-    # the base once, shared with its profile; the product's profile reads its
-    # flat kernel matrix and builds no row tuples
-    assert sizes == [4]
+    # the base's matrix once, shared by the precondition, the profile and the
+    # distance matrix; nothing builds row tuples
+    assert row_tuples == [] and sizes.count(4) == 1, (row_tuples, sizes)
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -697,10 +692,17 @@ def test_quiet_suppresses_report(fig_g_file, capsys):
     assert out == ""
 
 
-def test_multiline_graph6_file_rejected(tmp_path):
+def test_multiline_graph6_file_rejected(tmp_path, capsys):
     p = tmp_path / "two.g6"
-    p.write_text("Bw\nCh\n")
-    assert main(["analyze", str(p)]) == 2
+    # comment lines are not graph6 lines
+    for text, count in [("Bw\nCh\n", 2),
+                        ("# first\nBw\n\n  # second\n# third\nCh\n# last\n", 2),
+                        ("# only\n\n   # comments\n", 0)]:
+        p.write_text(text)
+        assert main(["analyze", str(p)]) == 2
+        err = (f"{str(p)!r} holds {count} graph6 lines; expected one graph" if count
+               else f"no graph found in {str(p)!r}")
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 # Under the pure backend every distance matrix is a list; under the compiled

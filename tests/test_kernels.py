@@ -326,11 +326,13 @@ def test_backends_agree_graph6_errors(monkeypatch):
                 for bad in bad_bytes:
                     broken = line[:pos] + bad + line[pos + 1:]
                     where = "size header" if pos < header else "bit field"
-                    want = f"invalid byte {bad!r} in {where} (byte offset {pos})"
-                    for text in (broken, ">>graph6<<" + broken):
+                    # offsets count from the start of the string as given
+                    for prefix in ("", ">>graph6<<", "   "):
+                        at = pos + len(prefix)
+                        want = f"invalid byte {bad!r} in {where} (byte offset {at})"
                         with pytest.raises(Graph6Error) as exc:
-                            from_graph6(text)
-                        assert (str(exc.value), exc.value.offset) == (want, pos)
+                            from_graph6(prefix + broken)
+                        assert (str(exc.value), exc.value.offset) == (want, at)
             with pytest.raises(Graph6Error) as exc:
                 from_graph6(">" + line[1:])
             assert str(exc.value) == "invalid leading byte '>' (byte offset 0)"

@@ -223,8 +223,8 @@ def test_profile_consistency(profile_reference, nb):
     if not is_connected(g):
         return
     dm = all_pairs_distances(g)
-    prof = metric_profile(g, dm)
-    assert prof == profile_of_matrix(dm) == metric_profile(g)
+    prof = metric_profile(g)
+    assert prof == profile_of_matrix(dm)
     assert prof == profile_reference(dm.rows)
     assert prof.diameter == max(prof.eccentricity)
     assert prof.radius == min(prof.eccentricity)

@@ -1,7 +1,8 @@
 """Corona, box product, join: constructions and their closed-form metrics.
 
 The oracles never run BFS on the product; every test here pits them against
-``all_pairs_distances``/``metric_profile`` of the explicitly built product.
+``all_pairs_distances``/``bfs_distances``/``metric_profile`` of the explicitly
+built product.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import pytest
 from hanggraph import (
     GraphInputError,
     all_pairs_distances,
+    bfs_distances,
     cartesian,
+    cartesian_distance_matrix,
     cartesian_metric_oracle,
     check_hangable,
     corona,
@@ -90,9 +93,21 @@ def test_join_of_completes_is_complete():
 
 
 def test_product_vertex_map_text():
-    _, vmap = cartesian(path(2), path(2))
-    text = vmap.to_text()
+    g, h = path(2), path(2)
+    _, vmap = cartesian(g, h)
+    text = vmap.to_text(g, h)
     assert "0 ↦ (0,0)" in text
+
+
+def test_package_exports():
+    import hanggraph
+
+    assert "cartesian_distance_matrix" in hanggraph.__all__
+    missing = [name for name in hanggraph.__all__ if not hasattr(hanggraph, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from hanggraph import *", namespace)
+    assert set(hanggraph.__all__) <= set(namespace)
 
 
 def test_product_labels_pairs():
@@ -175,24 +190,24 @@ def small_graphs(sizes, connected_only=False):
 
 
 def test_distance_matrices_match_per_pair_forms():
-    # the whole-matrix builders against the per-pair forms, on every labeled
-    # connected factor with up to 4 vertices and every factor with up to 3
+    # the whole-matrix builders against the per-pair corona form and against
+    # BFS on the built box product, on every labeled connected factor with up
+    # to 4 vertices and every factor with up to 3
     bases = small_graphs(range(1, 5), connected_only=True)
     for g in bases:
         dg = all_pairs_distances(g)
         for h in small_graphs(range(4)):
             if g.n < 2:
                 with pytest.raises(GraphInputError):
-                    corona_distance_matrix(dg, h)
+                    corona_distance_matrix(g, h)
                 continue
             total = g.n * (1 + h.n)
-            assert corona_distance_matrix(dg, h) == [
+            assert corona_distance_matrix(g, h) == [
                 corona_distance_oracle(dg, h, p, q) for p in range(total) for q in range(total)]
         for h in small_graphs(range(1, 4), connected_only=True):
-            om = cartesian_metric_oracle(g, h)
-            total = g.n * h.n
-            assert om.distance_matrix() == [
-                om.distance(p, q) for p in range(total) for q in range(total)]
+            p, _ = cartesian(g, h)
+            assert cartesian_distance_matrix(g, h) == [
+                d for source in range(p.n) for d in bfs_distances(p, source)]
 
 
 # --- cartesian oracles ------------------------------------------------------------
@@ -216,8 +231,9 @@ def test_cartesian_oracle_vs_bfs(g, h):
     assert om.eccentricity == prof.eccentricity
     assert om.vertex_periphery == prof.vertex_periphery
     assert om.graph_periphery == prof.graph_periphery
+    flat = cartesian_distance_matrix(g, h)
     for a, b in itertools.product(range(p.n), range(p.n)):
-        assert om.distance(a, b) == dm.dist(a, b)
+        assert flat[a * p.n + b] == dm.dist(a, b)
 
 
 @pytest.mark.parametrize("g,h", list(cartesian_cases()))
@@ -293,6 +309,16 @@ def test_join_exhaustive_small():
         j, _ = join(g, h)
         assert is_connected(j)
         assert join_hangability_predicate(g, h) == check_hangable(j).hangable
+
+
+def test_join_predicate_with_an_empty_factor():
+    # the join is then the other factor itself; every factor with up to 4
+    # vertices is hangable exactly when the rule says so
+    empty = from_edge_list(0, [])
+    for g in small_graphs(range(1, 5), connected_only=True):
+        for a, b in ((empty, g), (g, empty)):
+            j, _ = join(a, b)
+            assert join_hangability_predicate(a, b) == check_hangable(j).hangable
 
 
 def test_join_accepts_disconnected_factors():

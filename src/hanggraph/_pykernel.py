@@ -22,7 +22,9 @@ with none, as the compiled twin does.  ``classify_bits`` and
 diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word,
 flags in bits 0-7, diameter, radius and kmin a byte each above them, and
 |P(G)| in bits 32-39; it computes the eccentricities once for both deciders
-and takes kmin = 1 from the subset verdict it already has.
+and takes kmin = 1 from the subset verdict it already has.  kmin reads G's
+own matrix: ``_subset`` judges each power G^k through a threshold on G's
+distances, and no power matrix is built.
 ``classify_masks`` adds the edge count (from bit 40 of the packed word) and
 the two complement flags, the self-complementary one from a backtracking
 search.  ``graph6_masks`` decodes a graph6 bit field into masks.
@@ -180,17 +182,28 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     pair where u attains v's eccentricity but not the diameter.
     """
     ecc = _eccentricities(dist, n)
-    return _subset(dist, n, ecc, max(ecc))
+    return _subset(dist, n, ecc, max(ecc), 1)
 
 
-def _subset(dist: Sequence[int], n: int, ecc: list[int],
-            diam: int) -> tuple[bool, int, int]:
-    """``hangable_subset`` given the matrix's eccentricities and diameter."""
+def _threshold(e: int, k: int) -> int:
+    """The least d with ceil(d/k) = ceil(e/k): e - (e - 1) mod k, and 0 at e = 0."""
+    return e - (e - 1) % k if e else 0
+
+
+def _subset(dist: Sequence[int], n: int, ecc: list[int], diam: int,
+            k: int) -> tuple[bool, int, int]:
+    """``hangable_subset`` of G^k, given G's matrix, eccentricities and diameter.
+
+    G^k has the distances ceil(d/k), and ceil never decreases, so u is
+    farthest from v in G^k iff d(v, u) >= t(ecc[v]), and u lies in P(G^k)
+    iff ecc[u] >= t(diam), with t = ``_threshold``; at k = 1, t(e) = e.
+    """
+    td = _threshold(diam, k)
     for v in range(n):
         base = v * n
-        ev = ecc[v]
+        tv = _threshold(ecc[v], k)
         for u in range(n):
-            if dist[base + u] == ev and ecc[u] != diam:
+            if dist[base + u] >= tv and ecc[u] < td:
                 return (False, v, u)
     return (True, -1, -1)
 
@@ -297,25 +310,17 @@ def is_block_graph_masks(masks: Sequence[int]) -> bool:
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
-    """Least k for which the ceil(d/k) distance transform is hangable.
-
-    For a connected graph the k-th power has d_{G^k}(u, v) = ceil(d_G(u, v)/k),
-    so powers never need rebuilding here.  Always terminates by k = diameter,
-    where the power is complete.
-    """
-    diam = max(dist)
-    if diam <= 1 or hangable_subset(dist, n)[0]:
-        return 1
-    return _smallest_power_above_1(dist, n, diam)
+    """Least k for which the power G^k of a connected graph is hangable; the
+    walk ends by k = diameter, where the power is complete."""
+    ecc = _eccentricities(dist, n)
+    return _kmin(dist, n, ecc, max(ecc), 1)
 
 
-def _smallest_power_above_1(dist: Sequence[int], n: int, diam: int) -> int:
-    """``smallest_power_k`` of a matrix whose own subset verdict is False."""
-    for k in range(2, diam + 1):
-        dk = [(d + k - 1) // k for d in dist]
-        if hangable_subset(dk, n)[0]:
-            return k
-    raise AssertionError("power at k = diameter is complete, hence hangable")
+def _kmin(dist: Sequence[int], n: int, ecc: list[int], diam: int, k: int) -> int:
+    """The least j >= k with G^j hangable."""
+    while k < diam and not _subset(dist, n, ecc, diam, k)[0]:
+        k += 1
+    return k
 
 
 def _classify(masks: Sequence[int], m: int) -> tuple[int, int, int, int, int]:
@@ -329,7 +334,7 @@ def _classify(masks: Sequence[int], m: int) -> tuple[int, int, int, int, int]:
     diam = max(ecc)
     radius = min(ecc)
     flags = F_CONNECTED
-    hangable = _subset(dist, n, ecc, diam)[0]
+    hangable = _subset(dist, n, ecc, diam, 1)[0]
     if hangable:
         flags |= F_HANGABLE
     if _triples(dist, n, ecc, diam)[0]:
@@ -340,7 +345,7 @@ def _classify(masks: Sequence[int], m: int) -> tuple[int, int, int, int, int]:
         flags |= F_BLOCK_GRAPH
     if m == n - 1:
         flags |= F_TREE
-    kmin = 1 if hangable else _smallest_power_above_1(dist, n, diam)
+    kmin = 1 if hangable else _kmin(dist, n, ecc, diam, 2)
     return (flags, diam, radius, ecc.count(diam), kmin)
 
 

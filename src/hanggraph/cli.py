@@ -8,10 +8,12 @@ graph6 line; the two are distinguished by the first byte, since a digit can
 never start a graph6 line.
 
 Exit codes: 0 success (for analyze: hangable), 1 analyze's connected-but-not-
-hangable verdict or a FAIL from --oracle-check, 2 unparseable input or bad
-arguments, 3 disconnected input where connectivity is required, 4 search
-budget refused, 141 (128 + SIGPIPE, as a shell reports a process SIGPIPE
-ended) when the reader of stdout goes away before the output is written.
+hangable verdict or a FAIL from --oracle-check, 2 unparseable input, bad
+arguments, or an input too large for the memory at hand (one "error:" line
+naming the vertex count of each graph loaded so far), 3 disconnected input
+where connectivity is required, 4 search budget refused, 141 (128 + SIGPIPE,
+as a shell reports a process SIGPIPE ended) when the reader of stdout goes
+away before the output is written.
 All normal output is deterministic: same input, same bytes.
 """
 
@@ -44,6 +46,10 @@ EXIT_PIPE = 141
 
 
 _CHUNK = 1 << 16  # most bytes taken from the input in one read
+
+# the vertex count of each graph the running command has loaded, for the
+# message that ends it when memory runs out
+_loaded_sizes: list[int] = []
 
 
 def _input_lines(source: str) -> Iterator[list[str]]:
@@ -118,6 +124,7 @@ def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
         if len(set(labels)) != len(labels):
             raise GraphInputError("--labels must be unique")
         g = Graph(g.n, g.masks, tuple(labels))
+    _loaded_sizes.append(g.n)
     return g
 
 
@@ -490,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    _loaded_sizes.clear()
     try:
         return command(args)
     except BrokenPipeError:
@@ -507,6 +515,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DISCONNECTED
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        sizes = " + ".join(map(str, _loaded_sizes))
+        print(f"error: out of memory{f' on input of {sizes} vertices' if sizes else ''}",
+              file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -33,9 +33,10 @@ class Classification(NamedTuple):
 
     ``self_complementary`` is only computed for n <= 8 (backtracking search)
     and ``complement_hangable`` only when the complement is connected; both
-    are None otherwise.  ``smallest_hangable_power`` is the kernel's
-    ceil(d/k) transform of the graph's distances, as ``smallest_power_k``
-    computes it, and ``hangable`` is ``smallest_hangable_power == 1``.
+    are None otherwise.  ``smallest_hangable_power`` is the least k with
+    G^k hangable, read off the graph's own distances (G^k's are ceil(d/k))
+    as ``smallest_power_k`` reads it, and ``hangable`` is
+    ``smallest_hangable_power == 1``.
     ``error`` is set on records for unparseable input lines, ``note``
     explains missing fields.
     """

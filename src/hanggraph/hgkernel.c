@@ -17,12 +17,14 @@
  * the eccentricities (n signed bytes), every vertex periphery P(v) as
  * ascending vertex ids, P(0) first, then P(1), and so on (at most n * n
  * bytes), and |P(v)| per vertex (n bytes); its word packs the diameter in
- * bits 0-7 and the radius in 8-15.  The two classify entries
- * share one layout: flags in bits 0-7, diameter in 8-15, radius in 16-23,
- * kmin in 24-31.  hg_classify_masks adds |P(G)| in bits 32-39 and the edge
- * count m from bit 40, and two flags about the complement:
- * F_COMPLEMENT_CONNECTED (64) and F_SELF_COMPLEMENTARY (128), the latter
- * decided for n <= SELF_COMPLEMENTARY_MAX_N only.
+ * bits 0-7 and the radius in 8-15.  The two classify entries share one
+ * layout: flags in bits 0-7, diameter in 8-15, radius in 16-23, kmin in
+ * 24-31.  hg_classify_masks adds |P(G)| in bits 32-39 and the edge count m
+ * from bit 40, and two flags about the complement: F_COMPLEMENT_CONNECTED
+ * (64) and F_SELF_COMPLEMENTARY (128), the latter decided for
+ * n <= SELF_COMPLEMENTARY_MAX_N only.  kmin reads G's own matrix: one subset
+ * decider judges every power G^k through a threshold on G's distances, and
+ * no power matrix is built.
  */
 
 #include <stdint.h>
@@ -97,15 +99,6 @@ static inline void expand(const uint64_t *adj, int W, const uint64_t *frontier, 
         }
 }
 
-static int8_t max8(const int8_t *a, int len)
-{
-    int8_t best = 0;
-    for (int i = 0; i < len; i++)
-        if (a[i] > best)
-            best = a[i];
-    return best;
-}
-
 static inline void apsp_core(const uint64_t *adj, int n, int W, int8_t *dist)
 {
     for (int s = 0; s < n; s++) {
@@ -163,24 +156,53 @@ static inline int connected_core(const uint64_t *adj, int n, int W)
     return 1;
 }
 
-static void ecc_core(const int8_t *dist, int n, int8_t *ecc)
+/* ecc[v], the largest entry of row v, for every vertex; returns the diameter */
+static int8_t ecc_core(const int8_t *dist, int n, int8_t *ecc)
 {
-    for (int v = 0; v < n; v++)
-        ecc[v] = max8(dist + v * n, n);
+    int8_t diam = 0;
+    for (int v = 0; v < n; v++) {
+        int8_t e = 0;
+        for (int u = 0; u < n; u++)
+            if (dist[v * n + u] > e)
+                e = dist[v * n + u];
+        ecc[v] = e;
+        if (e > diam)
+            diam = e;
+    }
+    return diam;
 }
 
-/* 1 when hangable, else 0 with the first witness in (*wv, *wu) */
-static int subset_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam,
+/* t(e), the least d with ceil(d / k) = ceil(e / k); t(0) = 0 */
+static inline int threshold(int e, int k) { return e ? e - (e - 1) % k : 0; }
+
+/* 1 when G^k is hangable, else 0 with the first witness in (*wv, *wu).  G^k
+ * has the distances ceil(d / k) of G's matrix dist, and ceil never
+ * decreases, so u is farthest from v in G^k iff d(v, u) >= t(ecc[v]), and u
+ * lies in P(G^k) iff ecc[u] >= t(diam).  At k = 1, t(e) = e. */
+static int subset_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int k,
                        int *wv, int *wu)
 {
-    for (int v = 0; v < n; v++)
+    int td = threshold(diam, k);
+    for (int v = 0; v < n; v++) {
+        int tv = threshold(ecc[v], k);
         for (int u = 0; u < n; u++)
-            if (dist[v * n + u] == ecc[v] && ecc[u] != diam) {
+            if (dist[v * n + u] >= tv && ecc[u] < td) {
                 *wv = v;
                 *wu = u;
                 return 0;
             }
+    }
     return 1;
+}
+
+/* the smallest j >= k with G^j hangable, subset_core walked over the powers;
+ * G^diam is complete, so the walk ends there at the latest */
+static int kmin_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int k)
+{
+    int wv, wu;
+    while (k < diam && !subset_core(dist, n, ecc, diam, k, &wv, &wu))
+        k++;
+    return k;
 }
 
 /* 1 when hangable, else 0 with the first violating triple in w[0..2] */
@@ -265,30 +287,6 @@ static inline int block_core(const uint64_t *adj, int n, int W)
     return 1;
 }
 
-static int hangable_core(const int8_t *dist, int n)
-{
-    int8_t ecc[MAXN];
-    int wv, wu;
-    ecc_core(dist, n, ecc);
-    return subset_core(dist, n, ecc, max8(ecc, n), &wv, &wu);
-}
-
-/* smallest k with G^k hangable, through d_{G^k} = ceil(d_G / k) */
-static int kmin_core(const int8_t *dist, int n)
-{
-    int8_t dk[MAXN2];
-    int8_t diam = max8(dist, n * n);
-    if (diam <= 1 || hangable_core(dist, n))
-        return 1;
-    for (int k = 2; k <= diam; k++) {
-        for (int i = 0; i < n * n; i++)
-            dk[i] = (int8_t)((dist[i] + k - 1) / k);
-        if (hangable_core(dk, n))
-            return k;
-    }
-    return diam; /* unreachable: the power at k = diameter is complete */
-}
-
 /* --- entry points ----------------------------------------------------------
  * The cores above stay static, and the mask walkers inline, so that under
  * -fPIC the compiler may still inline them.  Where they inline, the constant
@@ -301,15 +299,20 @@ int hg_connected(const uint64_t *adj, int n) { return connected_core(adj, n, wor
 
 int hg_block(const uint64_t *adj, int n) { return block_core(adj, n, words(n)); }
 
-int hg_kmin(const int8_t *dist, int n) { return kmin_core(dist, n); }
+int hg_kmin(const int8_t *dist, int n)
+{
+    int8_t ecc[MAXN];
+    int8_t diam = ecc_core(dist, n, ecc);
+    return kmin_core(dist, n, ecc, diam, 1);
+}
 
 /* -1 when hangable, else the first witness as v << 7 | u */
 int64_t hg_subset(const int8_t *dist, int n)
 {
     int8_t ecc[MAXN];
     int wv, wu;
-    ecc_core(dist, n, ecc);
-    if (subset_core(dist, n, ecc, max8(ecc, n), &wv, &wu))
+    int8_t diam = ecc_core(dist, n, ecc);
+    if (subset_core(dist, n, ecc, diam, 1, &wv, &wu))
         return -1;
     return (int64_t)wv << 7 | wu;
 }
@@ -320,8 +323,8 @@ int64_t hg_triples(const int8_t *dist, int n)
 {
     int8_t ecc[MAXN];
     int w[3];
-    ecc_core(dist, n, ecc);
-    if (triples_core(dist, n, ecc, max8(ecc, n), w))
+    int8_t diam = ecc_core(dist, n, ecc);
+    if (triples_core(dist, n, ecc, diam, w))
         return -1;
     return (int64_t)w[0] << 14 | w[1] << 7 | w[2];
 }
@@ -331,9 +334,8 @@ int64_t hg_triples(const int8_t *dist, int n)
  * counts[v]; returns diameter | radius << 8 */
 int64_t hg_profile(const int8_t *dist, int n, int8_t *ecc, uint8_t *members, uint8_t *counts)
 {
-    int8_t diam = 0, radius = 127;
+    int8_t diam = ecc_core(dist, n, ecc), radius = diam;
     int t = 0;
-    ecc_core(dist, n, ecc);
     for (int v = 0; v < n; v++) {
         const int8_t *row = dist + v * n;
         int8_t e = ecc[v];
@@ -342,8 +344,6 @@ int64_t hg_profile(const int8_t *dist, int n, int8_t *ecc, uint8_t *members, uin
             if (row[u] == e)
                 members[t++] = (uint8_t)u;
         counts[v] = (uint8_t)(t - start);
-        if (e > diam)
-            diam = e;
         if (e < radius)
             radius = e;
     }
@@ -359,16 +359,13 @@ classify_core(const uint64_t *adj, int n, int W, int m, int8_t *dist, int8_t *ec
 {
     int wv, wu, w[3];
     apsp_core(adj, n, W, dist);
-    ecc_core(dist, n, ecc);
-    int8_t diam = 0, radius = 127;
-    for (int i = 0; i < n; i++) {
-        if (ecc[i] > diam)
-            diam = ecc[i];
+    int8_t diam = ecc_core(dist, n, ecc), radius = diam;
+    for (int i = 0; i < n; i++)
         if (ecc[i] < radius)
             radius = ecc[i];
-    }
     int64_t flags = F_CONNECTED;
-    if (subset_core(dist, n, ecc, diam, &wv, &wu))
+    int hangable = subset_core(dist, n, ecc, diam, 1, &wv, &wu);
+    if (hangable)
         flags |= F_HANGABLE;
     if (triples_core(dist, n, ecc, diam, w))
         flags |= F_HANGABLE_TRIPLES;
@@ -378,7 +375,8 @@ classify_core(const uint64_t *adj, int n, int W, int m, int8_t *dist, int8_t *ec
         flags |= F_BLOCK_GRAPH;
     if (m == n - 1)
         flags |= F_TREE;
-    return flags | (int64_t)diam << 8 | (int64_t)radius << 16 | (int64_t)kmin_core(dist, n) << 24;
+    int kmin = hangable ? 1 : kmin_core(dist, n, ecc, diam, 2);
+    return flags | (int64_t)diam << 8 | (int64_t)radius << 16 | (int64_t)kmin << 24;
 }
 
 /* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24.
@@ -515,7 +513,7 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
         }
     }
     apsp_words(adjc, nc, dc);
-    int8_t diam_g = max8(dg, ng * ng);
+    int8_t diam_g = ecc_core(dg, ng, eccg);
 
     for (int u = 0; u < ng; u++)
         for (int v = 0; v < ng; v++) {
@@ -536,14 +534,12 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
             }
         }
 
-    ecc_core(dc, nc, eccc);
-    int8_t diam_c = max8(eccc, nc);
+    int8_t diam_c = ecc_core(dc, nc, eccc);
     if (diam_c != diam_g + 2)
         return VERIFY_DIAMETER;
 
     /* product vertex q lies in a periphery iff it is a copy vertex over a
      * base vertex of the matching base periphery */
-    ecc_core(dg, ng, eccg);
     for (int p = 0; p < nc; p++) {
         int base_u = p < ng ? p : (p - ng) / nh;
         for (int q = 0; q < nc; q++) {
@@ -558,8 +554,8 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
             return VERIFY_GRAPH_PERIPHERY;
     }
 
-    int hang_c = subset_core(dc, nc, eccc, diam_c, &wv, &wu);
-    int hang_g = subset_core(dg, ng, eccg, diam_g, &wv, &wu);
+    int hang_c = subset_core(dc, nc, eccc, diam_c, 1, &wv, &wu);
+    int hang_g = subset_core(dg, ng, eccg, diam_g, 1, &wv, &wu);
     return hang_c == hang_g ? VERIFY_OK : VERIFY_HANGABLE;
 }
 
@@ -592,17 +588,15 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                     if (dp[(a * nh + b) * np + c * nh + d] != dg[a * ng + c] + dh[b * nh + d])
                         return VERIFY_DISTANCE;
 
-    ecc_core(dg, ng, eccg);
-    ecc_core(dh, nh, ecch);
-    ecc_core(dp, np, eccp);
+    int8_t diam_g = ecc_core(dg, ng, eccg), diam_h = ecc_core(dh, nh, ecch);
+    int8_t diam_p = ecc_core(dp, np, eccp);
     for (int a = 0; a < ng; a++)
         for (int b = 0; b < nh; b++)
             if (eccp[a * nh + b] != eccg[a] + ecch[b])
                 return VERIFY_ECCENTRICITY;
 
-    int8_t diam_g = max8(eccg, ng), diam_h = max8(ecch, nh);
     int diam = diam_g + diam_h;
-    if (max8(eccp, np) != diam)
+    if (diam_p != diam)
         return VERIFY_DIAMETER;
 
     for (int a = 0; a < ng; a++)
@@ -623,9 +617,9 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                 return VERIFY_GRAPH_PERIPHERY;
         }
 
-    int hup = subset_core(dp, np, eccp, (int8_t)diam, &wv, &wu);
-    int hg = subset_core(dg, ng, eccg, diam_g, &wv, &wu);
-    int hh = subset_core(dh, nh, ecch, diam_h, &wv, &wu);
+    int hup = subset_core(dp, np, eccp, diam_p, 1, &wv, &wu);
+    int hg = subset_core(dg, ng, eccg, diam_g, 1, &wv, &wu);
+    int hh = subset_core(dh, nh, ecch, diam_h, 1, &wv, &wu);
     return hup == (hg && hh) ? VERIFY_OK : VERIFY_HANGABLE;
 }
 
@@ -664,5 +658,5 @@ int hg_join_verify(const uint64_t *adjg, int ng, const uint64_t *adjh, int nh)
     }
     int predicted = universal == nj || universal <= 1;
     apsp_words(adjj, nj, dj);
-    return predicted == hangable_core(dj, nj) ? VERIFY_OK : VERIFY_HANGABLE;
+    return predicted == (hg_subset(dj, nj) < 0) ? VERIFY_OK : VERIFY_HANGABLE;
 }

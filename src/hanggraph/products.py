@@ -14,11 +14,12 @@ The corona and box-product forms read each factor's cached distance matrix;
 ``corona_distance_matrix`` and ``cartesian_distance_matrix`` build the whole
 flat product matrix from its rows, and ``corona_distance_oracle`` gives one
 corona distance from a ``DistanceMatrix``.
-For the corona (base connected, at least 2 vertices; copies nonempty):
-distances gain +1 per copy endpoint (same-base copies: 1 if the copy factor
-has that edge, else 2), the diameter is the base diameter +2, and every
-periphery is P_base x V_copy.  For the box product of connected factors,
-distances, eccentricities and the diameter add, and peripheries multiply.
+For the corona of a connected nonempty base, distances gain +1 per copy
+endpoint (same-base copies: 1 if the copy factor has that edge, else 2);
+with at least 2 base vertices and nonempty copies, the diameter is the base
+diameter +2 and every periphery is P_base x V_copy.  For the box product of
+connected factors, distances, eccentricities and the diameter add, and
+peripheries multiply.
 The join is hangable iff it is complete or has at most one universal vertex,
 read from each factor's universal vertices.
 """
@@ -41,12 +42,6 @@ class ProductVertexMap(NamedTuple):
     g_n: int
     h_n: int
     entries: tuple[tuple, ...]
-
-    def corona_copy_id(self, v: int, x: int) -> int:
-        return self.g_n + v * self.h_n + x
-
-    def cartesian_id(self, a: int, b: int) -> int:
-        return a * self.h_n + b
 
     def describe(self, i: int, g: Graph, h: Graph) -> str:
         entry = self.entries[i]
@@ -133,12 +128,10 @@ def corona_distance_oracle(dist_g: DistanceMatrix, h: Graph, p: int, q: int) -> 
     """Distance between corona vertices p, q from base distances alone.
 
     ``dist_g`` is the base matrix; ``h`` is the copy factor (its edges decide
-    the distance between two copies over the same base vertex).  The base
-    graph must have at least 2 vertices for these forms to hold.
+    the distance between two copies over the same base vertex).  The forms
+    hold for every connected base, a one-vertex base included.
     """
     ng, nh = dist_g.n, h.n
-    if ng < 2:
-        raise GraphInputError("corona distance forms need a base with at least 2 vertices")
     total = ng * (1 + nh)
     if not (0 <= p < total and 0 <= q < total):
         raise GraphInputError(f"product vertex outside 0..{total - 1}")
@@ -166,12 +159,10 @@ def corona_distance_matrix(g: Graph, h: Graph) -> list[int]:
     """Every corona distance, flat row-major in product ids.
 
     Built row by row from the base distance rows; entry p * total + q equals
-    ``corona_distance_oracle(all_pairs_distances(g), h, p, q)``, with the
-    same base-size requirement.
+    ``corona_distance_oracle(all_pairs_distances(g), h, p, q)``; g must be
+    connected and nonempty.
     """
     ng, nh = g.n, h.n
-    if ng < 2:
-        raise GraphInputError("corona distance forms need a base with at least 2 vertices")
     rows = _rows(g)
     # from copy x to the copies over its own base vertex
     same_base = [[0 if y == x else 1 if h.has_edge(x, y) else 2 for y in range(nh)]

@@ -793,3 +793,22 @@ def test_closed_stdout_ends_quietly_with_141(tmp_path):
     proc.stderr.close()
     assert header.startswith(b"# n\tm\t")
     assert "Traceback" not in err and code == 141, err
+
+
+def test_exhausted_heap_exits_2():
+    # exit 1 is analyze's "connected but not hangable"; a graph whose
+    # distance matrix outgrows the address space is an input too large, so it
+    # ends in exit 2 with one error line and no traceback
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30  # the 12000-vertex matrix alone needs more
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = subprocess.run([sys.executable, "-m", "hanggraph", "analyze", "path:12000"],
+                         env=child_env(), capture_output=True, text=True, timeout=120,
+                         preexec_fn=cap_address_space)
+    assert "Traceback" not in res.stderr, res.stderr
+    assert res.returncode == 2
+    assert res.stderr == "error: out of memory on input of 12000 vertices\n"
+    assert res.stdout == ""

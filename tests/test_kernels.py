@@ -372,6 +372,36 @@ def test_backends_agree_random_shapes():
                 decide([], 0)
 
 
+def smallest_power_reference(dist, n):
+    """kmin by the route the kernels no longer take: the first k whose
+    explicit ceil(d/k) matrix ``hangable_subset`` accepts."""
+    k = 1
+    while not pyk.hangable_subset([-(-d // k) for d in dist], n)[0]:
+        k += 1
+    return k
+
+
+@compiled
+def test_backends_agree_smallest_power_reference(one_labeling_per_class):
+    # both kernels judge G^k through a threshold on G's own matrix; here each
+    # power's matrix is built and judged instead
+    rng = random.Random(41)
+    graphs = [g for n in range(1, 6) for g in iter_graphs(n, connected_only=True)]
+    graphs += [g for g in one_labeling_per_class(6) if is_connected(g)]
+    graphs += [random_connected_graph(rng.randint(7, 128), rng,
+                                      rng.choice([0.005, 0.02, 0.05, 0.2]))
+               for _ in range(120)]
+    graphs.append(path(129))  # past 128 vertices the compiled module asks the pure twin
+    seen = set()
+    for g in graphs:
+        dist = pyk.apsp(g.masks)
+        k = smallest_power_reference(dist, g.n)
+        assert pyk.smallest_power_k(dist, g.n) == k
+        assert ck.smallest_power_k(dist, g.n) == k
+        seen.add(k)
+    assert seen >= {1, 2, 3, 4, 5}, seen
+
+
 @compiled
 def test_backends_agree_product_verifiers():
     rng = random.Random(23)
@@ -642,6 +672,18 @@ def test_backend_agreement_under_ubsan(tmp_path):
     # a silent fallback to the pure kernel would pass without testing C
     assert f"hanggraph kernel: compiled (loaded {cache}" in res.stdout, res.stdout + res.stderr
     assert res.returncode == 0, res.stdout + res.stderr
+
+
+@pytest.mark.skipif(shutil.which(CC_PROGRAM) is None, reason="no C compiler")
+def test_kernel_compiles_without_warnings(tmp_path):
+    # a leftover static core, such as an unused decider, fails here as
+    # -Wunused-function instead of shipping
+    cc = (os.environ.get("CC") or "cc").split() or ["cc"]
+    source = Path(SRC) / "hanggraph" / "hgkernel.c"
+    res = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                          "-o", str(tmp_path / "hgkernel.so"), str(source)],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 @pytest.mark.skipif(shutil.which(CC_PROGRAM) is None, reason="no C compiler")

@@ -37,6 +37,16 @@ from hanggraph.generators import complete, cycle, grid, path
 K1 = complete(1)
 
 
+def copy_id(vmap, v, x):
+    """The corona id of copy vertex x over base vertex v: ng + v*nh + x."""
+    return vmap.g_n + v * vmap.h_n + x
+
+
+def pair_id(vmap, a, b):
+    """The box-product id of the pair (a, b): a*nh + b."""
+    return a * vmap.h_n + b
+
+
 # --- constructions -------------------------------------------------------------
 
 
@@ -47,9 +57,9 @@ def test_corona_shape():
     assert c.m == g.m + 3 * (h.m + h.n)
     for v in range(3):
         for x in range(2):
-            assert c.has_edge(v, vmap.corona_copy_id(v, x))
+            assert c.has_edge(v, copy_id(vmap, v, x))
     # copies are private: no edges between different copies
-    assert not c.has_edge(vmap.corona_copy_id(0, 0), vmap.corona_copy_id(1, 0))
+    assert not c.has_edge(copy_id(vmap, 0, 0), copy_id(vmap, 1, 0))
 
 
 def test_corona_not_commutative():
@@ -69,9 +79,9 @@ def test_cartesian_shape():
     p, vmap = cartesian(g, h)
     assert p.n == 6
     assert p.m == g.m * h.n + h.m * g.n
-    assert p.has_edge(vmap.cartesian_id(0, 0), vmap.cartesian_id(1, 0))
-    assert p.has_edge(vmap.cartesian_id(0, 0), vmap.cartesian_id(0, 1))
-    assert not p.has_edge(vmap.cartesian_id(0, 0), vmap.cartesian_id(1, 1))
+    assert p.has_edge(pair_id(vmap, 0, 0), pair_id(vmap, 1, 0))
+    assert p.has_edge(pair_id(vmap, 0, 0), pair_id(vmap, 0, 1))
+    assert not p.has_edge(pair_id(vmap, 0, 0), pair_id(vmap, 1, 1))
 
 
 def test_cartesian_grid_identity():
@@ -114,7 +124,7 @@ def test_product_labels_pairs():
     g = from_edge_list(2, [(0, 1)], labels=("u", "v"))
     h = from_edge_list(2, [(0, 1)], labels=("x", "y"))
     p, vmap = cartesian(g, h)
-    assert p.label_of(vmap.cartesian_id(1, 0)) == "(v,x)"
+    assert p.label_of(pair_id(vmap, 1, 0)) == "(v,x)"
 
 
 # --- corona oracles --------------------------------------------------------------
@@ -160,11 +170,17 @@ def test_corona_of_non_hangable_base(fig_h):
 
 
 def test_corona_oracle_rejects_small_base():
+    # only the metric forms need two base vertices; the distance forms hold
+    # on a one-vertex base too
     with pytest.raises(GraphInputError):
         corona_metric_oracle(K1, complete(2))
     dg = all_pairs_distances(K1)
-    with pytest.raises(GraphInputError):
-        corona_distance_oracle(dg, complete(2), 0, 1)
+    for h in small_graphs(range(1, 5)):
+        c, _ = corona(K1, h)
+        dm = all_pairs_distances(c)
+        for p in range(c.n):
+            for q in range(c.n):
+                assert corona_distance_oracle(dg, h, p, q) == dm.dist(p, q)
 
 
 def test_corona_oracle_rejects_empty_h():
@@ -178,9 +194,9 @@ def test_corona_same_base_copies_distance():
     dg = all_pairs_distances(g)
     c, vmap = corona(g, h)
     dm = all_pairs_distances(c)
-    p = vmap.corona_copy_id(0, 0)
-    q1 = vmap.corona_copy_id(0, 1)
-    q2 = vmap.corona_copy_id(0, 2)
+    p = copy_id(vmap, 0, 0)
+    q1 = copy_id(vmap, 0, 1)
+    q2 = copy_id(vmap, 0, 2)
     assert dm.dist(p, q1) == 1 == corona_distance_oracle(dg, h, p, q1)
     assert dm.dist(p, q2) == 2 == corona_distance_oracle(dg, h, p, q2)
 
@@ -197,13 +213,12 @@ def test_distance_matrices_match_per_pair_forms():
     for g in bases:
         dg = all_pairs_distances(g)
         for h in small_graphs(range(4)):
-            if g.n < 2:
-                with pytest.raises(GraphInputError):
-                    corona_distance_matrix(g, h)
-                continue
             total = g.n * (1 + h.n)
-            assert corona_distance_matrix(g, h) == [
-                corona_distance_oracle(dg, h, p, q) for p in range(total) for q in range(total)]
+            want = [corona_distance_oracle(dg, h, p, q) for p in range(total) for q in range(total)]
+            assert corona_distance_matrix(g, h) == want
+            if g.n < 2:  # the per-pair form itself, against BFS on the corona
+                c, _ = corona(g, h)
+                assert want == [d for source in range(c.n) for d in bfs_distances(c, source)]
         for h in small_graphs(range(1, 4), connected_only=True):
             p, _ = cartesian(g, h)
             assert cartesian_distance_matrix(g, h) == [

@@ -14,31 +14,27 @@ imports raise that reason without running the compiler, until the marker
 is deleted.
 
 Every public function takes the same arguments as its pure twin and
-returns the same answer; tuples come back from C packed into one 64-bit
-word, whose layout each function's docstring gives.  One conversion
-marshals data into C: masks become an ``array('Q')`` and distance matrices
-an ``array('b')`` (signed int8, -1 for unreachable), whose bytes C reads; a
-graph6 bit field goes in as its bytes, and its masks come back as the words
-C filled.
-``apsp`` and ``classify_masks`` return the ``array('b')`` that C filled, so
-its matrix goes back into a decider as a byte copy; any other flat int
-sequence (the pure twin's list, a test's tuple) takes the same conversion.
-``profile`` returns the three arrays C filled: the eccentricities
-(``array('b')``), every vertex periphery P(v) as ascending vertex ids, P(0)
-first, then P(1), and so on (``array('B')`` of n * n bytes, of which the
-counts' sum are in use), and |P(v)| per vertex (``array('B')``).
-A mask crosses as W = ceil(n / 64) words, low word first, so C serves
-every graph up to ``MAXN`` = 128 vertices, where a distance still fits a
-signed byte.  Larger graphs (past 11 vertices for
-``classify_bits``; for the product verifiers, either factor or the product)
-are sent to the pure twin here, so any input gets the pure answer; the twin
-is imported on the first such call, so a process that sends none never loads
-it.  Flag bits come from ``_contract``, as the twin's do.  Like the
-pure twin, every call that decides something about a graph with no vertices
-(a distance matrix of ``n`` = 0, ``classify_bits(0, ...)``, an empty join)
-raises ``ValueError`` before C sees it.
-Importing raises ``ImportError`` with the reason when the kernel cannot be
-built or loaded.
+returns the same answer, which C computes itself: this module never imports
+the twin.  Masks go into C as W = ceil(n / 64) words per vertex, low word
+first; distance matrices as an ``array('h')`` (int16, -1 for unreachable),
+read in place, so any other flat int sequence is converted first; a graph6
+bit field as its bytes.  ``apsp`` and ``classify_masks`` return the
+``array('h')`` C filled, and ``profile`` the eccentricities (``array('h')``),
+every P(v) as ascending vertex ids, P(0) first (``array('H')`` of n * n
+items, the counts' sum of them in use), and each |P(v)| (``array('H')``).
+Tuples come back packed into one 64-bit word, laid out in each docstring.
+
+C allocates nothing: every buffer it writes is a repeat of one of the
+``_ZERO`` items, and a call that needs several gets one scratch buffer of
+``_work_words`` words.  Every call that
+takes or makes a distance matrix, or tests connectivity, raises
+``ValueError`` past ``MAX_DISTANCE_N`` = 32767 vertices, where a distance
+may not fit int16, before C sees the graph; ``classify_bits`` does past
+``MAX_CLASSIFY_N`` = 11.  The block test and the graph6 decoder serve any
+size.  Like the pure twin, every call that decides something about a graph
+with no vertices raises ``ValueError`` before C sees it.  Flag bits and
+limits come from ``_contract``.  Importing raises ``ImportError`` with the
+reason when the kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -48,20 +44,17 @@ import os
 import zlib
 from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
+from functools import cache
 from typing import Sequence
 
-from ._contract import F_COMPLEMENT_CONNECTED, F_CONNECTED
+from ._contract import F_COMPLEMENT_CONNECTED, F_CONNECTED, MAX_CLASSIFY_N, MAX_DISTANCE_N
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hgkernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
-MAXN = 128
-MAX_CLASSIFY_N = 11  # C(11,2) = 55 edge bits fit a 64-bit subset index
-_WORD = (1 << 64) - 1
-# one zero word and one zero distance: repeating them is the cheapest way to
-# get a fresh output buffer for C to fill
-_ZERO_WORD = array("Q", [0])
-_ZERO_DIST = array("b", [0])
-_ZERO_BYTE = array("B", [0])
+BLOCK_INTS = 6  # ints per vertex of the block test's scratch, as in hgkernel.c
+# one zero item of each type C reads or writes: repeating one is the
+# cheapest way to get a fresh buffer for C to fill
+_ZERO = {code: array(code, [0]) for code in "hHiQ"}
 
 
 def compiler() -> list[str]:
@@ -156,111 +149,113 @@ def _entry(lib: ctypes.CDLL, name: str, restype, *argtypes):
     return fn
 
 
-_P = c_void_p  # inputs go in as bytes, the output as an array's address
+_P = c_void_p  # inputs go in as bytes or an array's address, outputs as an array's address
 try:
     LIBRARY = build()
     _lib = ctypes.CDLL(LIBRARY)
     _apsp = _entry(_lib, "hg_apsp", None, _P, c_int, _P)
     _connected = _entry(_lib, "hg_connected", c_int, _P, c_int)
-    _block = _entry(_lib, "hg_block", c_int, _P, c_int)
-    _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int)
-    _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int)
-    _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int)
+    _block = _entry(_lib, "hg_block", c_int, _P, c_int, _P)
+    _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int, _P)
+    _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int, _P)
+    _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int, _P)
     _profile = _entry(_lib, "hg_profile", c_int64, _P, c_int, _P, _P, _P)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
-    _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P)
+    _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P, _P)
     _graph6 = _entry(_lib, "hg_graph6_masks", None, _P, c_int, _P)
-    _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int)
-    _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P)
-    _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int)
+    _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int, _P)
+    _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P, _P)
+    _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int, _P)
 except (OSError, AttributeError) as exc:
     # unreadable source, no cache directory, failed exec or load, missing symbol
     raise ImportError(f"compiled kernel unavailable: {exc}") from exc
 
 
-def _py():
-    """The pure twin, imported on the first call that needs it."""
-    from . import _pykernel
-    return _pykernel
+@cache  # one int per graph size in use; sizing costs more than the allocation
+def _work_words(n: int, extra: int = 0) -> int:
+    """The words of scratch for C to build and measure a graph on n vertices,
+    laid out as hgkernel.c's ``struct work``: two words of counts out, n * W
+    mask words, ``BLOCK_INTS`` * n ints, the graph's n * n int16 matrix and
+    n eccentricities, then ``extra`` int16s more."""
+    return 2 + n * (n + 63 >> 6) + (4 * BLOCK_INTS * n + 2 * (n * n + n + extra) + 7) // 8
+
+
+def _fits(n: int) -> int:
+    """n, or ``ValueError`` past ``MAX_DISTANCE_N``, where distances may not fit int16."""
+    if n > MAX_DISTANCE_N:
+        raise ValueError(f"a graph on {n} vertices is past the kernel's "
+                         f"{MAX_DISTANCE_N}-vertex limit for distances")
+    return n
 
 
 def _masks(masks: Sequence[int]) -> bytes:
-    """Each mask as W = ceil(n / 64) words, low word first, vertex after
-    vertex; callers send at most MAXN vertices, so W is 1 or 2."""
+    """Each mask as W = ceil(n / 64) words, low word first, vertex after vertex."""
     if len(masks) <= 64:  # each mask is its own word
         return array("Q", masks).tobytes()
-    return array("Q", [m >> s & _WORD for m in masks for s in (0, 64)]).tobytes()
+    size = 8 * (len(masks) + 63 >> 6)
+    return b"".join([m.to_bytes(size, "little") for m in masks])
 
 
-def _dist(dist: Sequence[int], n: int) -> bytes:
-    if n < 1 or n * n != len(dist):
-        raise ValueError("distance matrix needs n >= 1 and n * n entries")
-    return array("b", dist).tobytes()
+def _dist(dist: Sequence[int], n: int) -> array:
+    """The matrix as an ``array('h')`` C can read in place: itself if it is one."""
+    if not 0 < n <= MAX_DISTANCE_N or n * n != len(dist):
+        raise ValueError(f"a distance matrix needs 1 to {MAX_DISTANCE_N} vertices "
+                         f"and n * n entries")
+    return dist if type(dist) is array and dist.typecode == "h" else array("h", dist)
 
 
 def apsp(masks: Sequence[int]) -> Sequence[int]:
-    """The pure twin's list past MAXN vertices, else the ``array('b')`` C fills."""
-    n = len(masks)
-    if n > MAXN:
-        return _py().apsp(masks)
-    dist = _ZERO_DIST * (n * n)  # named, so it outlives the call that fills it
+    """The ``array('h')`` C fills."""
+    n = _fits(len(masks))
+    dist = _ZERO["h"] * (n * n)  # named, so it outlives the call that fills it
     _apsp(_masks(masks), n, dist.buffer_info()[0])
     return dist
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
-    if len(masks) > MAXN:
-        return _py().is_connected_masks(masks)
-    return bool(_connected(_masks(masks), len(masks)))
+    return bool(_connected(_masks(masks), _fits(len(masks))))  # C keeps its masks on the stack
 
 
 def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
-    if n > MAXN:
-        return _py().hangable_subset(dist, n)
-    r = _subset(_dist(dist, n), n)
-    return (True, -1, -1) if r < 0 else (False, r >> 7, r & 127)
+    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    r = _subset(d.buffer_info()[0], n, ecc.buffer_info()[0])
+    return (True, -1, -1) if r < 0 else (False, r >> 16, r & 0xFFFF)
 
 
 def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     """Mirror of the pure hangable_triples: the first violating triple or -1s."""
-    if n > MAXN:
-        return _py().hangable_triples(dist, n)
-    r = _triples(_dist(dist, n), n)
-    return (True, -1, -1, -1) if r < 0 else (False, r >> 14, r >> 7 & 127, r & 127)
+    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    r = _triples(d.buffer_info()[0], n, ecc.buffer_info()[0])
+    return (True, -1, -1, -1) if r < 0 else (False, r >> 32, r >> 16 & 0xFFFF, r & 0xFFFF)
 
 
 def profile(dist: Sequence[int], n: int) -> tuple[Sequence[int], int, int,
                                                   Sequence[int], Sequence[int]]:
     """Mirror of the pure profile.  C fills the three arrays the module
-    docstring describes and packs the diameter in bits 0-7 of its word and
-    the radius in bits 8-15."""
-    if n > MAXN:
-        return _py().profile(dist, n)
-    flat = _dist(dist, n)
-    ecc, members, counts = _ZERO_DIST * n, _ZERO_BYTE * (n * n), _ZERO_BYTE * n
-    r = _profile(flat, n, ecc.buffer_info()[0], members.buffer_info()[0],
+    docstring describes and packs the diameter in bits 0-15 of its word and
+    the radius in bits 16-31."""
+    d = _dist(dist, n)
+    ecc, members, counts = _ZERO["h"] * n, _ZERO["H"] * (n * n), _ZERO["H"] * n
+    r = _profile(d.buffer_info()[0], n, ecc.buffer_info()[0], members.buffer_info()[0],
                  counts.buffer_info()[0])
-    return ecc, r & 255, r >> 8, members, counts
+    return ecc, r & 0xFFFF, r >> 16, members, counts
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:
-    if len(masks) > MAXN:
-        return _py().is_block_graph_masks(masks)
-    return bool(_block(_masks(masks), len(masks)))
+    work = _ZERO["i"] * (BLOCK_INTS * len(masks))
+    return bool(_block(_masks(masks), len(masks), work.buffer_info()[0]))
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
-    if n > MAXN:
-        return _py().smallest_power_k(dist, n)
-    return _kmin(_dist(dist, n), n)
+    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    return _kmin(d.buffer_info()[0], n, ecc.buffer_info()[0])
 
 
 def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
-    """Mirror of the pure classify_bits; n is capped so bits fit a word."""
-    if n > MAX_CLASSIFY_N:
-        return _py().classify_bits(n, bits)
-    if n < 1:
-        raise ValueError("classify_bits needs at least one vertex")
+    """Mirror of the pure classify_bits.  C packs flags in bits 0-7, then
+    the diameter, radius and kmin, a byte each."""
+    if not 1 <= n <= MAX_CLASSIFY_N:
+        raise ValueError(f"classify_bits needs 1 to {MAX_CLASSIFY_N} vertices, got {n}")
     r = _classify(n, bits)
     if r == 0:
         return (0, -1, -1, -1)
@@ -269,62 +264,63 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
 
 def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, int,
                                                   Sequence[int] | None]:
-    """Mirror of the pure classify_masks.  C packs ``classify_bits``' word
-    (flags in bits 0-7, then diameter, radius and kmin, a byte each) with
-    F_COMPLEMENT_CONNECTED and F_SELF_COMPLEMENTARY among the flags, |P(G)|
-    in bits 32-39 and the edge count m from bit 40, and fills the
-    complement's matrix into the ``array('b')`` returned last."""
+    """Mirror of the pure classify_masks.  C packs the flags, with
+    F_COMPLEMENT_CONNECTED and F_SELF_COMPLEMENTARY among them, in bits 0-7
+    of its word, then the diameter, radius and kmin, 16 bits each; writes m
+    and |P(G)| into the two count words of its scratch; and fills the
+    complement's matrix into the ``array('h')`` returned last."""
     n = len(masks)
-    if n > MAXN:
-        return _py().classify_masks(masks)
-    if n < 1:
-        raise ValueError("classify_masks needs at least one vertex")
-    co_dist = _ZERO_DIST * (n * n)
-    r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0])
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise ValueError(f"classify_masks needs 1 to {MAX_DISTANCE_N} vertices, got {n}")
+    co_dist, work = _ZERO["h"] * (n * n), _ZERO["Q"] * _work_words(n)
+    r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0], work.buffer_info()[0])
     flags = r & 255
     if not flags & F_COMPLEMENT_CONNECTED:
         co_dist = None
     if not flags & F_CONNECTED:
-        return (flags, r >> 40, -1, -1, -1, -1, co_dist)
-    return (flags, r >> 40, r >> 8 & 255, r >> 16 & 255, r >> 32 & 255, r >> 24 & 255, co_dist)
+        return (flags, work[0], -1, -1, -1, -1, co_dist)
+    return (flags, work[0], r >> 8 & 0xFFFF, r >> 24 & 0xFFFF, work[1], r >> 40, co_dist)
 
 
 def graph6_masks(n: int, body: bytes) -> tuple[int, ...]:
     """Mirror of the pure graph6_masks; C fills W words per vertex."""
     need = (n * (n - 1) // 2 + 5) // 6
-    if n > MAXN or len(body) != need:  # the twin raises on a wrong length
-        return _py().graph6_masks(n, body)
-    words = _ZERO_WORD * (n if n <= 64 else 2 * n)
+    if len(body) != need:  # C reads exactly need bytes
+        raise ValueError(f"graph6 bit field of {n} vertices needs {need} bytes, got {len(body)}")
+    size = n + 63 >> 6
+    words = _ZERO["Q"] * (n * size)
     _graph6(body, n, words.buffer_info()[0])
-    if n <= 64:
+    if size <= 1:
         return tuple(words.tolist())
-    return tuple([words[k] | words[k + 1] << 64 for k in range(0, 2 * n, 2)])
+    raw, size = words.tobytes(), 8 * size
+    return tuple([int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)])
 
 
 def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                   masks_h: Sequence[int]) -> int:
     """Mirror of the pure corona_verify."""
     ng, nh = len(masks_g), len(masks_h)
-    if max(nh, ng * (1 + nh)) > MAXN:
-        return _py().corona_verify(masks_g, dist_g, masks_h)
-    return _corona(_masks(masks_g), ng, _dist(dist_g, ng), _masks(masks_h), nh)
+    dg = _dist(dist_g, ng)
+    work = _ZERO["Q"] * _work_words(_fits(ng * (1 + nh)), ng)
+    return _corona(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
+                   work.buffer_info()[0])
 
 
 def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                      masks_h: Sequence[int], dist_h: Sequence[int]) -> int:
     """Mirror of the pure cartesian_verify."""
     ng, nh = len(masks_g), len(masks_h)
-    if max(ng, nh, ng * nh) > MAXN:
-        return _py().cartesian_verify(masks_g, dist_g, masks_h, dist_h)
-    return _cartesian(_masks(masks_g), ng, _dist(dist_g, ng),
-                      _masks(masks_h), nh, _dist(dist_h, nh))
+    dg, dh = _dist(dist_g, ng), _dist(dist_h, nh)
+    work = _ZERO["Q"] * _work_words(_fits(ng * nh), ng + nh)
+    return _cartesian(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
+                      dh.buffer_info()[0], work.buffer_info()[0])
 
 
 def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     """Mirror of the pure join_verify."""
-    ng, nh = len(masks_g), len(masks_h)
-    if ng + nh > MAXN:
-        return _py().join_verify(masks_g, masks_h)
-    if ng + nh < 1:
-        raise ValueError("join_verify needs at least one vertex")
-    return _join(_masks(masks_g), ng, _masks(masks_h), nh)
+    nj = len(masks_g) + len(masks_h)
+    if not 0 < nj <= MAX_DISTANCE_N:
+        raise ValueError(f"join_verify needs 1 to {MAX_DISTANCE_N} vertices, got {nj}")
+    work = _ZERO["Q"] * _work_words(nj)
+    return _join(_masks(masks_g), len(masks_g), _masks(masks_h), len(masks_h),
+                 work.buffer_info()[0])

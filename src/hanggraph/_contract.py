@@ -6,6 +6,12 @@ so that reading them loads neither: a process on the compiled kernel never
 needs the pure twin's source.  ``hgkernel.c`` defines the same values.
 """
 
+# the most vertices a distance matrix may have: every distance of a connected
+# graph on them fits int16, the type the compiled kernel stores them in
+MAX_DISTANCE_N = 32767
+# the most vertices classify_bits takes: C(11, 2) = 55 edge bits fit a word
+MAX_CLASSIFY_N = 11
+
 # classify_bits flag bits
 F_CONNECTED = 1
 F_HANGABLE = 2

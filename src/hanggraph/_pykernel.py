@@ -4,28 +4,29 @@ A graph on n vertices is a sequence ``masks`` of n ints where bit j of
 ``masks[i]`` is set iff ij is an edge.  Distance matrices are flat row-major
 sequences of length n*n with -1 for unreachable pairs: ``apsp`` returns a
 list, and every function taking a matrix reads any int sequence, the
-compiled twin's ``array('b')`` included.  The compiled twin in ``_ckernel``
+compiled twin's ``array('h')`` included.  The compiled twin in ``_ckernel``
 mirrors the signatures exactly; ``kernels`` picks one of the two at import.
-The pure ``apsp`` keeps lists: it serves every graph past 128 vertices,
-where a distance can exceed a signed byte.
 
-Python ints double as unbounded bitsets, so this backend has no vertex limit;
-``_ckernel`` hands it the graphs past its 128 vertices.  This module loads
-when it is first needed: at import of ``kernels`` on the pure backend; on
-the compiled one, when ``_ckernel`` first sends it a graph or
-``blocks.biconnected_components`` first runs.  The flag bits and verifier
-codes come from ``_contract``, which both backends share.  The
+This module has two roles: it is the reference that the tests hold every
+compiled answer against, and the backend when no C compiler works or
+HANGGRAPH_PURE=1 is set.  It loads at import of ``kernels`` on the pure
+backend; on the compiled one, only when ``blocks.biconnected_components``
+first runs.  Python ints double as unbounded bitsets, so nothing here has a
+vertex limit but ``classify_bits``, which raises ``ValueError`` past
+``MAX_CLASSIFY_N`` vertices as the compiled twin does; the callers in the
+package keep every matrix within ``MAX_DISTANCE_N`` vertices.  The flag
+bits, verifier codes and limits come from ``_contract``, which both
+backends share.  The
 deciders, kmin, ``classify_bits``, ``classify_masks`` and the verifiers need
 at least one vertex and raise ``ValueError`` (an empty ``max``) on a graph
 with none, as the compiled twin does.  ``classify_bits`` and
 ``classify_masks`` share one body, ``_classify``: the tuple (flags,
-diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word,
-flags in bits 0-7, diameter, radius and kmin a byte each above them, and
-|P(G)| in bits 32-39; it computes the eccentricities once for both deciders
+diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word;
+it computes the eccentricities once for both deciders
 and takes kmin = 1 from the subset verdict it already has.  kmin reads G's
 own matrix: ``_subset`` judges each power G^k through a threshold on G's
 distances, and no power matrix is built.
-``classify_masks`` adds the edge count (from bit 40 of the packed word) and
+``classify_masks`` adds the edge count and
 the two complement flags, the self-complementary one from a backtracking
 search.  ``graph6_masks`` decodes a graph6 bit field into masks.
 ``profile`` reads every eccentricity and vertex periphery off a matrix:
@@ -45,7 +46,7 @@ from typing import Iterator, Sequence
 
 from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
                         F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_SELF_COMPLEMENTARY, F_TREE,
-                        SELF_COMPLEMENTARY_MAX_N, VERIFY_DIAMETER, VERIFY_DISTANCE,
+                        MAX_CLASSIFY_N, SELF_COMPLEMENTARY_MAX_N, VERIFY_DIAMETER, VERIFY_DISTANCE,
                         VERIFY_ECCENTRICITY, VERIFY_GRAPH_PERIPHERY, VERIFY_HANGABLE, VERIFY_OK,
                         VERIFY_VERTEX_PERIPHERY)
 
@@ -354,7 +355,11 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
 
     Returns (flags, diameter, radius, smallest_hangable_power); the last three
     are -1 when the graph is disconnected (flags then carries no other bits).
+    Raises ``ValueError`` past ``MAX_CLASSIFY_N`` vertices, where the index
+    no longer fits the compiled twin's word.
     """
+    if n > MAX_CLASSIFY_N:
+        raise ValueError(f"classify_bits needs 1 to {MAX_CLASSIFY_N} vertices, got {n}")
     flags, diam, radius, _, kmin = _classify(masks_from_bits(n, bits), bits.bit_count())
     return (flags, diam, radius, kmin)
 

@@ -7,8 +7,8 @@ set; any two blocks share at most one vertex, and the cut vertices are
 exactly the vertices in two or more blocks.  An isolated K_1 counts as one
 single-vertex block with no cut vertices.  The decomposition also answers
 whether every block is a clique, from the same pass; ``is_block_graph``,
-which needs no blocks, asks the selected kernel instead, which runs the same
-DFS (in C up to 128 vertices) and tests each block for a clique.
+which needs no blocks, asks the selected kernel instead, which runs a lowpoint
+DFS (in C on the compiled backend) and tests each block for a clique.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ never start a graph6 line.
 
 Exit codes: 0 success (for analyze: hangable), 1 analyze's connected-but-not-
 hangable verdict or a FAIL from --oracle-check, 2 unparseable input, bad
-arguments, or an input too large for the memory at hand (one "error:" line
-naming the vertex count of each graph loaded so far), 3 disconnected input
+arguments, a graph past the 32767 vertices a distance matrix may have, or an
+input too large for the memory at hand (one "error:" line naming the vertex
+count of each graph loaded so far), 3 disconnected input
 where connectivity is required, 4 search budget refused, 141 (128 + SIGPIPE,
 as a shell reports a process SIGPIPE ended) when the reader of stdout goes
 away before the output is written.
@@ -128,8 +129,8 @@ def load_graph(source: str, labels: Sequence[str] | None = None) -> Graph:
     return g
 
 
-def _vset(g: Graph, vs) -> str:
-    return "{" + ", ".join(g.label_of(v) for v in sorted(vs)) + "}"
+def _vset(labels: Sequence[str], vs) -> str:
+    return "{" + ", ".join([labels[v] for v in sorted(vs)]) + "}"
 
 
 def _emit(args, text: str) -> None:
@@ -201,17 +202,17 @@ def cmd_analyze(args) -> int:
             f"radius: {profile.radius}",
             f"self_centered: {'yes' if profile.radius == profile.diameter else 'no'}",
         ]
-        for v in range(g.n):
-            lines.append(f"vertex {g.label_of(v)}: ecc={profile.eccentricity[v]} "
-                         f"periphery={_vset(g, profile.vertex_periphery[v])}")
-        lines.append(f"periphery: {_vset(g, profile.graph_periphery)}")
+        labels = g.labels if g.labels is not None else list(map(str, range(g.n)))
+        lines += [f"vertex {label}: ecc={ecc} periphery={_vset(labels, vp)}"
+                  for label, ecc, vp in zip(labels, profile.eccentricity,
+                                            profile.vertex_periphery)]
+        lines.append(f"periphery: {_vset(labels, profile.graph_periphery)}")
         lines.append(f"hangable: {'yes' if report.hangable else 'no'}")
         if not report.hangable:
             v, u = report.witness
-            lines.append(f"witness: v={g.label_of(v)} u={g.label_of(u)}")
+            lines.append(f"witness: v={labels[v]} u={labels[u]}")
             tv, tu, tw = report.triple_witness
-            lines.append(f"triple_witness: v={g.label_of(tv)} u={g.label_of(tu)} "
-                         f"w={g.label_of(tw)}")
+            lines.append(f"triple_witness: v={labels[tv]} u={labels[tu]} w={labels[tw]}")
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if report.hangable else EXIT_NEGATIVE
 
@@ -227,12 +228,22 @@ _ORACLE_STATEMENTS = (("eccentricities", "eccentricity"), ("diameter", "diameter
 
 
 def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str], bool]:
-    """Each closed-form statement against BFS on the product: (lines, failed)."""
+    """Each closed-form statement against BFS on the product: (lines, failed).
+
+    A precondition that fails every statement is the one line.  The corona's
+    distance forms hold on any nonempty connected base, so a base or copy
+    factor that only its metric forms refuse is checked for distances and
+    then named on a line of its own.
+    """
+    refused = None
     try:
         if kind == "corona":
-            metrics_mod.connected_apsp(g)  # an empty or disconnected base fails first
-            oracle = products_mod.corona_metric_oracle(g, h)
+            # an empty or disconnected base fails first
             distances = products_mod.corona_distance_matrix(g, h)
+            try:
+                oracle = products_mod.corona_metric_oracle(g, h)
+            except GraphInputError as exc:
+                oracle, refused = None, exc
         elif kind == "cartesian":
             oracle = products_mod.cartesian_metric_oracle(g, h)
             distances = products_mod.cartesian_distance_matrix(g, h)
@@ -244,11 +255,14 @@ def _oracle_lines(kind: str, g: Graph, h: Graph, prod: Graph) -> tuple[list[str]
         hangable = metrics_mod.check_hangable(prod).hangable
         checks = [("hangability", hangable == products_mod.join_hangability_predicate(g, h))]
     else:
-        truth = metrics_mod.metric_profile(prod)
         checks = [("distances", distances == list(metrics_mod.connected_apsp(prod)))]
-        checks += [(name, getattr(oracle, attr) == getattr(truth, attr))
-                   for name, attr in _ORACLE_STATEMENTS if hasattr(oracle, attr)]
+        if oracle is not None:
+            truth = metrics_mod.metric_profile(prod)
+            checks += [(name, getattr(oracle, attr) == getattr(truth, attr))
+                       for name, attr in _ORACLE_STATEMENTS if hasattr(oracle, attr)]
     lines = [f"oracle {kind} {name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
+    if refused is not None:
+        lines.append(f"oracle {kind}: precondition not met: {refused}")
     return lines, not all(ok for _, ok in checks)
 
 

@@ -6,7 +6,8 @@ flags, diameter, radius, |P(G)|, the smallest hangable power (the ceil(d/k)
 transform of the graph's one distance matrix) and self-complementarity, and
 returns the complement's distance matrix when the complement is connected.
 The subset decider judges that matrix for the complement's hangability, so
-no APSP runs here.  classify_stream maps
+no APSP runs here; a graph too large for a distance matrix gets an error
+record.  classify_stream maps
 a graph6 stream to records in input order, turning bad lines into error
 records instead of dying.  search_hangable_subgraphs enumerates induced
 subgraphs of a host up to a subset budget.  smallest_hangable_power walks
@@ -23,8 +24,9 @@ from typing import Iterable, Iterator, NamedTuple
 from . import graph6 as g6
 from . import kernels
 from ._contract import (F_BLOCK_GRAPH, F_CONNECTED, F_SELF_CENTERED, F_SELF_COMPLEMENTARY,
-                        F_TREE, SELF_COMPLEMENTARY_MAX_N)
-from .graph import Graph, GraphInputError, induced_subgraph, is_connected, power
+                        F_TREE, MAX_DISTANCE_N, SELF_COMPLEMENTARY_MAX_N)
+from .graph import (Graph, GraphInputError, distance_limit_error, induced_subgraph,
+                    is_connected, power)
 from .metrics import check_hangable
 
 
@@ -95,6 +97,8 @@ def classify_graph(g: Graph) -> Classification:
     n = g.n
     if n < 1:
         return Classification(n, g.m, True, note="empty graph")
+    if n > MAX_DISTANCE_N:
+        return Classification(n, error=str(distance_limit_error(n)))
     flags, m, diameter, radius, periphery_size, k, co_dist = kernels.classify_masks(g.masks)
     comp_hang = kernels.hangable_subset(co_dist, n)[0] if co_dist is not None else None
     selfco = bool(flags & F_SELF_COMPLEMENTARY) if n <= SELF_COMPLEMENTARY_MAX_N else None

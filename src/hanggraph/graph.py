@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
+from ._contract import MAX_DISTANCE_N
 from ._record import Record
 
 
@@ -43,6 +44,13 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def distance_limit_error(n: int) -> GraphInputError:
+    """The error for a graph on n > ``MAX_DISTANCE_N`` vertices, whose
+    distances may not fit the kernel's int16."""
+    return GraphInputError(f"a distance matrix needs at most {MAX_DISTANCE_N} vertices; "
+                           f"the graph has {n}")
 
 
 class Graph(Record):
@@ -81,9 +89,12 @@ class Graph(Record):
     @cached_property
     def distances(self) -> Sequence[int]:
         """Flat row-major distance matrix, as the kernel returns it: the
-        compiled kernel's ``array('b')`` up to 128 vertices, else the pure
-        kernel's list.  Raises before the kernel allocates n^2 entries if the
-        graph is disconnected."""
+        compiled kernel's ``array('h')``, or the pure kernel's list.  Raises
+        before the kernel allocates n^2 entries: ``GraphInputError`` past
+        ``MAX_DISTANCE_N`` vertices, where a distance may not fit int16, and
+        the disconnected-graph error."""
+        if self.n > MAX_DISTANCE_N:
+            raise distance_limit_error(self.n)
         require_connected(self)
         return kernels.apsp(self.masks)
 

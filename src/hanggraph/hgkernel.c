@@ -1,59 +1,41 @@
-/* Compiled kernels: the semantics twin of _pykernel.py for n <= 128.
+/* Compiled kernels: the semantics twin of _pykernel.py, for graphs of up to
+ * 32767 vertices (_contract.MAX_DISTANCE_N).
  *
  * Plain C with no Python headers; _ckernel.py compiles this file with the
  * system C compiler and calls it through ctypes.  Adjacency lives in masks
  * of W = ceil(n / 64) 64-bit words per vertex, vertex after vertex: bit j of
  * vertex i's mask is bit j % 64 of adj[i * W + j / 64], set iff ij is an
- * edge.  Every entry point works W out from n.  Distances are signed bytes,
- * flat row-major, -1 for unreachable pairs; a connected graph on 128
- * vertices has diameter at most 127, so every distance fits.  Callers check
- * every size limit before calling in; nothing here allocates or fails.
+ * edge.  Every entry point works W out from n.  Distances are int16_t, flat
+ * row-major, -1 for unreachable pairs; on 32767 vertices every distance
+ * fits.  Callers check every size limit before calling in.
  *
- * Results that are tuples on the Python side come back packed into one
- * 64-bit integer so that no output buffer is shared between calls; see the
- * comment on each hg_* function for its layout.  Only arrays go out through
- * buffers the caller passes in: hg_apsp's matrix, hg_graph6_masks' masks,
- * the complement's matrix of hg_classify_masks, and hg_profile's three:
- * the eccentricities (n signed bytes), every vertex periphery P(v) as
- * ascending vertex ids, P(0) first, then P(1), and so on (at most n * n
- * bytes), and |P(v)| per vertex (n bytes); its word packs the diameter in
- * bits 0-7 and the radius in 8-15.  The two classify entries share one
- * layout: flags in bits 0-7, diameter in 8-15, radius in 16-23, kmin in
- * 24-31.  hg_classify_masks adds |P(G)| in bits 32-39 and the edge count m
- * from bit 40, and two flags about the complement: F_COMPLEMENT_CONNECTED
- * (64) and F_SELF_COMPLEMENTARY (128), the latter decided for
- * n <= SELF_COMPLEMENTARY_MAX_N only.  kmin reads G's own matrix: one subset
- * decider judges every power G^k through a threshold on G's distances, and
- * no power matrix is built.
+ * Nothing here allocates or fails, and no array is sized by n: every buffer
+ * that grows with n comes from the caller, one scratch buffer per call where
+ * a call needs several (struct work).  Only W-word masks live on the stack,
+ * at MAX_WORDS words of which the code touches the W in use; and
+ * hg_classify keeps fixed arrays of MAX_CLASSIFY_N vertices.  Tuples come
+ * back packed into one 64-bit word, laid out in the comment on each entry;
+ * arrays go out through buffers the caller passes in.  kmin reads G's own
+ * matrix: one subset decider judges every power G^k through a threshold on
+ * G's distances, and no power matrix is built.
  */
 
+#include <stddef.h>
 #include <stdint.h>
 
-#define MAXN 128
-#define MAXW 2 /* words per mask at MAXN vertices */
-#define MAXN2 (MAXN * MAXN)
-#define MAXE (MAXN * (MAXN - 1) / 2) /* edges of the complete graph K_MAXN */
+#define MAX_WORDS 512 /* words per mask at 32767 vertices */
+#define MAX_CLASSIFY_N 11
+#define BLOCK_INTS 6 /* block_core's scratch ints per vertex */
 #define SELF_COMPLEMENTARY_MAX_N 8
 
 enum {
-    F_CONNECTED = 1,
-    F_HANGABLE = 2,
-    F_HANGABLE_TRIPLES = 4,
-    F_SELF_CENTERED = 8,
-    F_BLOCK_GRAPH = 16,
-    F_TREE = 32,
-    F_COMPLEMENT_CONNECTED = 64,
-    F_SELF_COMPLEMENTARY = 128
+    F_CONNECTED = 1, F_HANGABLE = 2, F_HANGABLE_TRIPLES = 4, F_SELF_CENTERED = 8,
+    F_BLOCK_GRAPH = 16, F_TREE = 32, F_COMPLEMENT_CONNECTED = 64, F_SELF_COMPLEMENTARY = 128
 };
 
-enum {
-    VERIFY_OK = 0,
-    VERIFY_DISTANCE = 1,
-    VERIFY_ECCENTRICITY = 2,
-    VERIFY_DIAMETER = 3,
-    VERIFY_VERTEX_PERIPHERY = 4,
-    VERIFY_GRAPH_PERIPHERY = 5,
-    VERIFY_HANGABLE = 6
+enum { /* 0, 1, ... 6 */
+    VERIFY_OK, VERIFY_DISTANCE, VERIFY_ECCENTRICITY, VERIFY_DIAMETER,
+    VERIFY_VERTEX_PERIPHERY, VERIFY_GRAPH_PERIPHERY, VERIFY_HANGABLE
 };
 
 static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
@@ -61,8 +43,6 @@ static inline int ctz64(uint64_t x) { return __builtin_ctzll(x); }
 static inline int words(int n) { return (n + 63) >> 6; }
 
 static inline void set_bit(uint64_t *mask, int i) { mask[i >> 6] |= (uint64_t)1 << (i & 63); }
-
-static inline int has_bit(const uint64_t *mask, int i) { return mask[i >> 6] >> (i & 63) & 1; }
 
 /* the lowest set bit at or above i of a W-word mask, or -1 */
 static inline int next_bit(const uint64_t *mask, int W, int i)
@@ -93,17 +73,35 @@ static inline void expand(const uint64_t *adj, int W, const uint64_t *frontier, 
         out[j] = 0;
     for (int k = 0; k < W; k++)
         for (uint64_t f = frontier[k]; f; f &= f - 1) {
-            const uint64_t *a = adj + (k * 64 + ctz64(f)) * W;
+            const uint64_t *a = adj + (size_t)(k * 64 + ctz64(f)) * W;
             for (int j = 0; j < W; j++)
                 out[j] |= a[j];
         }
 }
 
-static inline void apsp_core(const uint64_t *adj, int n, int W, int8_t *dist)
+/* the caller's scratch for a graph on n vertices that an entry builds and
+ * measures, as _ckernel._work_words sizes it: two words of counts out, n * W
+ * mask words, BLOCK_INTS * n ints, the n * n matrix and n eccentricities,
+ * then the entry's own int16s */
+struct work { uint64_t *out, *adj; int *ints; int16_t *dist, *ecc; };
+
+static struct work carve(uint64_t *buf, int n)
 {
+    struct work w;
+    w.out = buf;
+    w.adj = buf + 2;
+    w.ints = (int *)(w.adj + (size_t)n * words(n));
+    w.dist = (int16_t *)(w.ints + (size_t)BLOCK_INTS * n);
+    w.ecc = w.dist + (size_t)n * n;
+    return w;
+}
+
+static inline __attribute__((always_inline)) void
+apsp_core(const uint64_t *adj, int n, int W, int16_t *dist)
+{
+    uint64_t seen[MAX_WORDS], frontier[MAX_WORDS], nxt[MAX_WORDS];
     for (int s = 0; s < n; s++) {
-        int8_t *row = dist + s * n;
-        uint64_t seen[MAXW], frontier[MAXW], nxt[MAXW];
+        int16_t *row = dist + (size_t)s * n;
         for (int v = 0; v < n; v++)
             row[v] = -1;
         row[s] = 0;
@@ -118,7 +116,7 @@ static inline void apsp_core(const uint64_t *adj, int n, int W, int8_t *dist)
                 seen[k] |= frontier[k];
                 any |= frontier[k];
                 for (uint64_t f = frontier[k]; f; f &= f - 1)
-                    row[k * 64 + ctz64(f)] = (int8_t)d;
+                    row[k * 64 + ctz64(f)] = (int16_t)d;
             }
             if (!any)
                 break;
@@ -126,21 +124,24 @@ static inline void apsp_core(const uint64_t *adj, int n, int W, int8_t *dist)
     }
 }
 
-/* apsp_core with the word count as a constant, 1 up to 64 vertices and
- * MAXW past them, so that each inlined copy unrolls its loops over words */
-static void apsp_words(const uint64_t *adj, int n, int8_t *dist)
+/* apsp_core with the word count a constant 1 up to 64 vertices, so that
+ * the inlined copy that serves them unrolls its loops over words */
+static void apsp_words(const uint64_t *adj, int n, int16_t *dist)
 {
     if (n <= 64)
         apsp_core(adj, n, 1, dist);
     else
-        apsp_core(adj, n, MAXW, dist);
+        apsp_core(adj, n, words(n), dist);
 }
 
-static inline int connected_core(const uint64_t *adj, int n, int W)
+static inline __attribute__((always_inline)) int
+connected_core(const uint64_t *adj, int n, int W)
 {
-    uint64_t seen[MAXW] = {1}, frontier[MAXW] = {1}, nxt[MAXW], any = 1;
+    uint64_t seen[MAX_WORDS], frontier[MAX_WORDS], nxt[MAX_WORDS], any = 1;
     if (n <= 1)
         return 1;
+    for (int k = 0; k < W; k++)
+        seen[k] = frontier[k] = k == 0;
     while (any) {
         any = 0;
         expand(adj, W, frontier, nxt);
@@ -157,14 +158,15 @@ static inline int connected_core(const uint64_t *adj, int n, int W)
 }
 
 /* ecc[v], the largest entry of row v, for every vertex; returns the diameter */
-static int8_t ecc_core(const int8_t *dist, int n, int8_t *ecc)
+static int16_t ecc_core(const int16_t *dist, int n, int16_t *ecc)
 {
-    int8_t diam = 0;
+    int16_t diam = 0;
     for (int v = 0; v < n; v++) {
-        int8_t e = 0;
+        const int16_t *row = dist + (size_t)v * n;
+        int16_t e = 0;
         for (int u = 0; u < n; u++)
-            if (dist[v * n + u] > e)
-                e = dist[v * n + u];
+            if (row[u] > e)
+                e = row[u];
         ecc[v] = e;
         if (e > diam)
             diam = e;
@@ -179,14 +181,15 @@ static inline int threshold(int e, int k) { return e ? e - (e - 1) % k : 0; }
  * has the distances ceil(d / k) of G's matrix dist, and ceil never
  * decreases, so u is farthest from v in G^k iff d(v, u) >= t(ecc[v]), and u
  * lies in P(G^k) iff ecc[u] >= t(diam).  At k = 1, t(e) = e. */
-static int subset_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int k,
+static int subset_core(const int16_t *dist, int n, const int16_t *ecc, int diam, int k,
                        int *wv, int *wu)
 {
     int td = threshold(diam, k);
     for (int v = 0; v < n; v++) {
+        const int16_t *row = dist + (size_t)v * n;
         int tv = threshold(ecc[v], k);
         for (int u = 0; u < n; u++)
-            if (dist[v * n + u] >= tv && ecc[u] < td) {
+            if (row[u] >= tv && ecc[u] < td) {
                 *wv = v;
                 *wu = u;
                 return 0;
@@ -197,7 +200,7 @@ static int subset_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam
 
 /* the smallest j >= k with G^j hangable, subset_core walked over the powers;
  * G^diam is complete, so the walk ends there at the latest */
-static int kmin_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int k)
+static int kmin_core(const int16_t *dist, int n, const int16_t *ecc, int diam, int k)
 {
     int wv, wu;
     while (k < diam && !subset_core(dist, n, ecc, diam, k, &wv, &wu))
@@ -206,14 +209,14 @@ static int kmin_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, 
 }
 
 /* 1 when hangable, else 0 with the first violating triple in w[0..2] */
-static int triples_core(const int8_t *dist, int n, const int8_t *ecc, int8_t diam, int *w)
+static int triples_core(const int16_t *dist, int n, const int16_t *ecc, int diam, int *w)
 {
     for (int v = 0; v < n; v++)
         for (int u = 0; u < n; u++) {
-            if (dist[v * n + u] != ecc[v] || ecc[u] == diam)
+            if (dist[(size_t)v * n + u] != ecc[v] || ecc[u] == diam)
                 continue;
             for (int x = 0; x < n; x++)
-                if (dist[u * n + x] == ecc[u]) {
+                if (dist[(size_t)u * n + x] == ecc[u]) {
                     w[0] = v;
                     w[1] = u;
                     w[2] = x;
@@ -223,143 +226,135 @@ static int triples_core(const int8_t *dist, int n, const int8_t *ecc, int8_t dia
     return 1;
 }
 
-/* iterative lowpoint DFS; connected input assumed.  Every block must be a
- * clique: each vertex of a finished block sees all of its other vertices.
- * Each edge goes on the edge stack once, so MAXE entries always suffice. */
-static inline int block_core(const uint64_t *adj, int n, int W)
+/* 1 when every block is a clique.  Iterative lowpoint DFS of a connected
+ * graph with a stack of vertices (Hopcroft & Tarjan, CACM 16(6), 1973):
+ * when the DFS backs up from v to u with low[v] >= disc[u], the vertices
+ * popped down to v, plus u, are a block.  Each vertex counts its edges up
+ * the DFS tree (to its parent and its ancestors), which all lie in the block
+ * it is popped with, so a block of k vertices is a clique iff the counts of
+ * its popped vertices sum to k(k-1)/2.  work: BLOCK_INTS * n ints. */
+static inline int block_core(const uint64_t *adj, int n, int W, int *work)
 {
-    int disc[MAXN], low[MAXN], parent[MAXN], cursor[MAXN]; /* cursor: next neighbor to try */
-    uint8_t vstack[MAXN], eu_stack[MAXE], ev_stack[MAXE];
+    int *disc = work, *low = work + n, *cursor = work + 2 * n; /* cursor: next neighbor */
+    int *up = work + 3 * n, *path = work + 4 * n, *popped = work + 5 * n;
     if (n <= 2)
         return 1;
-    for (int v = 0; v < n; v++) {
+    for (int v = 0; v < n; v++)
         disc[v] = -1;
-        parent[v] = -1;
-        cursor[v] = 0;
-    }
-    int top = 0, etop = 0, timer = 1;
-    vstack[0] = 0;
-    disc[0] = low[0] = 0;
-    while (top >= 0) {
-        int v = vstack[top];
-        int w = next_bit(adj + v * W, W, cursor[v]);
+    int top = 0, ptop = 0, timer = 1;
+    path[0] = 0;
+    disc[0] = low[0] = cursor[0] = 0;
+    for (;;) {
+        int v = path[top];
+        int w = next_bit(adj + (size_t)v * W, W, cursor[v]);
         if (w >= 0) {
             cursor[v] = w + 1;
             if (disc[w] == -1) {
-                parent[w] = v;
                 disc[w] = low[w] = timer++;
-                eu_stack[etop] = (uint8_t)v;
-                ev_stack[etop] = (uint8_t)w;
-                etop++;
-                vstack[++top] = (uint8_t)w;
-            } else if (w != parent[v] && disc[w] < disc[v]) {
-                eu_stack[etop] = (uint8_t)v;
-                ev_stack[etop] = (uint8_t)w;
-                etop++;
+                cursor[w] = 0;
+                up[w] = 1;
+                path[++top] = w;
+                popped[ptop++] = w;
+            } else if (disc[w] < disc[v] && w != path[top - 1]) { /* an edge to an ancestor */
+                up[v]++;
                 if (disc[w] < low[v])
                     low[v] = disc[w];
             }
             continue;
         }
         if (--top < 0)
-            break;
-        int u = vstack[top];
+            return 1;
+        int u = path[top];
         if (low[v] < low[u])
             low[u] = low[v];
         if (low[v] < disc[u])
             continue;
-        uint64_t bmask[MAXW] = {0};
-        for (;;) {
-            etop--;
-            int a = eu_stack[etop], b = ev_stack[etop];
-            set_bit(bmask, a);
-            set_bit(bmask, b);
-            if (a == u && b == v)
-                break;
-        }
-        for (int x = next_bit(bmask, W, 0); x >= 0; x = next_bit(bmask, W, x + 1))
-            for (int k = 0; k < W; k++) {
-                uint64_t others = k == x >> 6 ? bmask[k] ^ (uint64_t)1 << (x & 63) : bmask[k];
-                if ((adj[x * W + k] & bmask[k]) != others)
-                    return 0;
-            }
+        int64_t k = 1, edges = 0;
+        int x;
+        do {
+            x = popped[--ptop];
+            k++;
+            edges += up[x];
+        } while (x != v);
+        if (2 * edges != k * (k - 1))
+            return 0;
     }
-    return 1;
 }
 
 /* --- entry points ----------------------------------------------------------
  * The cores above stay static, and the mask walkers inline, so that under
  * -fPIC the compiler may still inline them.  Where they inline, the constant
- * W of hg_classify (1), apsp_words and hg_classify_masks (1, or MAXW past 64
- * vertices) lets it unroll the loops over words. */
+ * W = 1 of hg_classify, and of apsp_words and hg_classify_masks up to 64
+ * vertices, lets it unroll the loops over words. */
 
-void hg_apsp(const uint64_t *adj, int n, int8_t *dist) { apsp_words(adj, n, dist); }
+void hg_apsp(const uint64_t *adj, int n, int16_t *dist) { apsp_words(adj, n, dist); }
 
 int hg_connected(const uint64_t *adj, int n) { return connected_core(adj, n, words(n)); }
 
-int hg_block(const uint64_t *adj, int n) { return block_core(adj, n, words(n)); }
+/* work: BLOCK_INTS * n ints */
+int hg_block(const uint64_t *adj, int n, int *work) { return block_core(adj, n, words(n), work); }
 
-int hg_kmin(const int8_t *dist, int n)
+/* ecc: n int16 of scratch, here and in the two deciders */
+int hg_kmin(const int16_t *dist, int n, int16_t *ecc)
 {
-    int8_t ecc[MAXN];
-    int8_t diam = ecc_core(dist, n, ecc);
+    int diam = ecc_core(dist, n, ecc);
     return kmin_core(dist, n, ecc, diam, 1);
 }
 
-/* -1 when hangable, else the first witness as v << 7 | u */
-int64_t hg_subset(const int8_t *dist, int n)
+/* -1 when hangable, else the first witness as v << 16 | u */
+int64_t hg_subset(const int16_t *dist, int n, int16_t *ecc)
 {
-    int8_t ecc[MAXN];
     int wv, wu;
-    int8_t diam = ecc_core(dist, n, ecc);
+    int diam = ecc_core(dist, n, ecc);
     if (subset_core(dist, n, ecc, diam, 1, &wv, &wu))
         return -1;
-    return (int64_t)wv << 7 | wu;
+    return (int64_t)wv << 16 | wu;
 }
 
 /* -1 when hangable, else the first violating triple (v, u, w) as
- * v << 14 | u << 7 | w */
-int64_t hg_triples(const int8_t *dist, int n)
+ * v << 32 | u << 16 | w */
+int64_t hg_triples(const int16_t *dist, int n, int16_t *ecc)
 {
-    int8_t ecc[MAXN];
     int w[3];
-    int8_t diam = ecc_core(dist, n, ecc);
+    int diam = ecc_core(dist, n, ecc);
     if (triples_core(dist, n, ecc, diam, w))
         return -1;
-    return (int64_t)w[0] << 14 | w[1] << 7 | w[2];
+    return (int64_t)w[0] << 32 | (int64_t)w[1] << 16 | w[2];
 }
 
 /* the metric profile: ecc[v] for every vertex, each P(v) as ascending vertex
- * ids, row after row, into members (at most n * n bytes), and |P(v)| into
- * counts[v]; returns diameter | radius << 8 */
-int64_t hg_profile(const int8_t *dist, int n, int8_t *ecc, uint8_t *members, uint8_t *counts)
+ * ids, row after row, into members (at most n * n), and |P(v)| into
+ * counts[v]; returns diameter | radius << 16 */
+int64_t hg_profile(const int16_t *dist, int n, int16_t *ecc, uint16_t *members, uint16_t *counts)
 {
-    int8_t diam = ecc_core(dist, n, ecc), radius = diam;
-    int t = 0;
+    int16_t diam = ecc_core(dist, n, ecc), radius = diam;
+    size_t t = 0;
     for (int v = 0; v < n; v++) {
-        const int8_t *row = dist + v * n;
-        int8_t e = ecc[v];
-        int start = t;
+        const int16_t *row = dist + (size_t)v * n;
+        int16_t e = ecc[v];
+        size_t start = t;
         for (int u = 0; u < n; u++)
             if (row[u] == e)
-                members[t++] = (uint8_t)u;
-        counts[v] = (uint8_t)(t - start);
+                members[t++] = (uint16_t)u;
+        counts[v] = (uint16_t)(t - start);
         if (e < radius)
             radius = e;
     }
-    return (int64_t)radius << 8 | diam;
+    return (int64_t)radius << 16 | diam;
 }
 
-/* the classify fields of a connected graph with m edges and masks of W
- * words: flags | diameter << 8 | radius << 16 | kmin << 24.  Leaves the
- * distance matrix in dist and the eccentricities in ecc.  Always inlined,
- * so that each caller's constant W unrolls the loops over words. */
+/* the classify flags of a connected graph with m edges and masks of W
+ * words, with its diameter, radius and kmin in out[0..2].  Leaves the
+ * distance matrix in dist and the eccentricities in ecc; work holds
+ * BLOCK_INTS * n ints.  Always inlined, so that each caller's constant W
+ * unrolls the loops over words. */
 static inline __attribute__((always_inline)) int64_t
-classify_core(const uint64_t *adj, int n, int W, int m, int8_t *dist, int8_t *ecc)
+classify_core(const uint64_t *adj, int n, int W, int64_t m, int16_t *dist, int16_t *ecc,
+              int *work, int *out)
 {
     int wv, wu, w[3];
     apsp_core(adj, n, W, dist);
-    int8_t diam = ecc_core(dist, n, ecc), radius = diam;
+    int diam = ecc_core(dist, n, ecc), radius = diam;
     for (int i = 0; i < n; i++)
         if (ecc[i] < radius)
             radius = ecc[i];
@@ -371,20 +366,23 @@ classify_core(const uint64_t *adj, int n, int W, int m, int8_t *dist, int8_t *ec
         flags |= F_HANGABLE_TRIPLES;
     if (radius == diam)
         flags |= F_SELF_CENTERED;
-    if (block_core(adj, n, W))
+    if (block_core(adj, n, W, work))
         flags |= F_BLOCK_GRAPH;
     if (m == n - 1)
         flags |= F_TREE;
-    int kmin = hangable ? 1 : kmin_core(dist, n, ecc, diam, 2);
-    return flags | (int64_t)diam << 8 | (int64_t)radius << 16 | (int64_t)kmin << 24;
+    out[0] = diam;
+    out[1] = radius;
+    out[2] = hangable ? 1 : kmin_core(dist, n, ecc, diam, 2);
+    return flags;
 }
 
 /* 0 when disconnected, else flags | diameter << 8 | radius << 16 | kmin << 24.
- * n <= 11, so every mask is one word. */
+ * n <= MAX_CLASSIFY_N, so every mask is one word. */
 int64_t hg_classify(int n, uint64_t bits)
 {
-    uint64_t adj[MAXN];
-    int8_t dist[MAXN2], ecc[MAXN];
+    uint64_t adj[MAX_CLASSIFY_N];
+    int16_t dist[MAX_CLASSIFY_N * MAX_CLASSIFY_N], ecc[MAX_CLASSIFY_N];
+    int work[BLOCK_INTS * MAX_CLASSIFY_N], f[3];
     int k = 0, m = 0;
     for (int i = 0; i < n; i++)
         adj[i] = 0;
@@ -397,7 +395,8 @@ int64_t hg_classify(int n, uint64_t bits)
             }
     if (!connected_core(adj, n, 1))
         return 0;
-    return classify_core(adj, n, 1, m, dist, ecc);
+    int64_t flags = classify_core(adj, n, 1, m, dist, ecc, work, f);
+    return flags | (int64_t)f[0] << 8 | (int64_t)f[1] << 16 | (int64_t)f[2] << 24;
 }
 
 /* 1 when image[0 .. v-1] extends to an isomorphism from g onto its
@@ -425,23 +424,21 @@ static int selfco_extend(const uint64_t *adj, const uint64_t *co, int n, int v,
     return 0;
 }
 
-/* hg_classify on masks of W words, plus |P(G)|, m and the complement, whose
- * distance matrix goes to co_dist when it is connected */
+/* hg_classify_masks on masks of W words; the complement goes into w.adj */
 static inline __attribute__((always_inline)) int64_t
-classify_masks_core(const uint64_t *adj, int n, int W, int8_t *co_dist)
+classify_masks_core(const uint64_t *adj, int n, int W, int16_t *co_dist, struct work w)
 {
-    uint64_t co[MAXN * MAXW];
-    int8_t dist[MAXN2], ecc[MAXN];
-    int image[SELF_COMPLEMENTARY_MAX_N];
-    int64_t flags = 0;
-    int deg = 0, periphery = 0;
+    uint64_t *co = w.adj;
+    int image[SELF_COMPLEMENTARY_MAX_N], f[3];
+    int64_t flags = 0, deg = 0, periphery = 0;
     for (int v = 0; v < n; v++)
         for (int k = 0; k < W; k++) {
-            uint64_t a = adj[v * W + k], self = k == v >> 6 ? (uint64_t)1 << (v & 63) : 0;
+            uint64_t a = adj[(size_t)v * W + k], self = k == v >> 6 ? (uint64_t)1 << (v & 63) : 0;
             deg += __builtin_popcountll(a);
-            co[v * W + k] = full_word(n, k) & ~a & ~self;
+            co[(size_t)v * W + k] = full_word(n, k) & ~a & ~self;
         }
-    int m = deg / 2;
+    int64_t m = deg / 2;
+    w.out[0] = (uint64_t)m;
     if (n <= SELF_COMPLEMENTARY_MAX_N && 4 * m == n * (n - 1)
         && selfco_extend(adj, co, n, 0, 0, image))
         flags |= F_SELF_COMPLEMENTARY;
@@ -449,71 +446,74 @@ classify_masks_core(const uint64_t *adj, int n, int W, int8_t *co_dist)
         flags |= F_COMPLEMENT_CONNECTED;
         apsp_core(co, n, W, co_dist);
     }
-    flags |= (int64_t)m << 40;
     if (!connected_core(adj, n, W))
         return flags;
-    int64_t r = classify_core(adj, n, W, m, dist, ecc);
-    int8_t diam = (int8_t)(r >> 8);
+    flags |= classify_core(adj, n, W, m, w.dist, w.ecc, w.ints, f);
     for (int v = 0; v < n; v++)
-        periphery += ecc[v] == diam;
-    return flags | r | (int64_t)periphery << 32;
+        periphery += w.ecc[v] == f[0];
+    w.out[1] = (uint64_t)periphery;
+    return flags | (int64_t)f[0] << 8 | (int64_t)f[1] << 24 | (int64_t)f[2] << 40;
 }
 
-/* m << 40 with the complement flags when g is disconnected, else
- * hg_classify's word with those flags, |P(G)| in bits 32-39 and m from bit 40.
+/* the complement flags when g is disconnected, else those flags with
+ * hg_classify's, diameter << 8 | radius << 24 | kmin << 40 (16 bits each).
+ * work: scratch for a graph on n vertices (struct work), whose two count
+ * words get m, and |P(G)| when g is connected.
  * F_COMPLEMENT_CONNECTED: the complement is connected, and its distance
- * matrix went to co_dist (n * n bytes), which is otherwise left as it was.
+ * matrix went to co_dist (n * n), which is otherwise left as it was.
  * F_SELF_COMPLEMENTARY: n <= SELF_COMPLEMENTARY_MAX_N and g is isomorphic
- * to its complement.  n <= 128 */
-int64_t hg_classify_masks(const uint64_t *adj, int n, int8_t *co_dist)
+ * to its complement. */
+int64_t hg_classify_masks(const uint64_t *adj, int n, int16_t *co_dist, uint64_t *work)
 {
     if (n <= 64)
-        return classify_masks_core(adj, n, 1, co_dist);
-    return classify_masks_core(adj, n, MAXW, co_dist);
+        return classify_masks_core(adj, n, 1, co_dist, carve(work, n));
+    return classify_masks_core(adj, n, words(n), co_dist, carve(work, n));
 }
 
 /* the masks (W words per vertex) of the n-vertex graph whose graph6 bit field
  * is body: pair t of the upper triangle, column by column, (0,1), (0,2),
  * (1,2), (0,3), ..., is bit 5 - t % 6 of body[t / 6] - 63.  The caller has
- * checked that body holds ceil(n(n-1)/2 / 6) bytes, each in '?' .. '~';
- * n <= 128 */
+ * checked that body holds ceil(n(n-1)/2 / 6) bytes, each in '?' .. '~' */
 void hg_graph6_masks(const uint8_t *body, int n, uint64_t *adj)
 {
-    int W = words(n), t = 0;
-    for (int i = 0; i < n * W; i++)
+    int W = words(n);
+    int64_t t = 0;
+    for (size_t i = 0; i < (size_t)n * W; i++)
         adj[i] = 0;
     for (int j = 1; j < n; j++)
         for (int i = 0; i < j; i++, t++)
             if ((body[t / 6] - 63) >> (5 - t % 6) & 1) {
-                set_bit(adj + i * W, j);
-                set_bit(adj + j * W, i);
+                set_bit(adj + (size_t)i * W, j);
+                set_bit(adj + (size_t)j * W, i);
             }
 }
 
 /* builds the corona G o H (copy v of H hangs off base vertex v) and checks
- * every closed-form statement against BFS on it; ng * (1 + nh) <= 128 */
-int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
-                     const uint64_t *adjh, int nh)
+ * every closed-form statement against BFS on it; work: scratch for a graph
+ * on ng * (1 + nh) vertices with ng int16s more */
+int hg_corona_verify(const uint64_t *adjg, int ng, const int16_t *dg,
+                     const uint64_t *adjh, int nh, uint64_t *work)
 {
-    uint64_t adjc[MAXN * MAXW];
-    int8_t dc[MAXN2], eccg[MAXN], eccc[MAXN];
     int nc = ng * (1 + nh), wg = words(ng), wh = words(nh), wc = words(nc), wv, wu;
-    for (int i = 0; i < nc * wc; i++)
+    struct work w = carve(work, nc);
+    uint64_t *adjc = w.adj;
+    int16_t *dc = w.dist, *eccc = w.ecc, *eccg = w.ecc + nc;
+    for (size_t i = 0; i < (size_t)nc * wc; i++)
         adjc[i] = 0;
     for (int v = 0; v < ng; v++) {
         for (int k = 0; k < wg; k++)
-            adjc[v * wc + k] = adjg[v * wg + k];
+            adjc[(size_t)v * wc + k] = adjg[(size_t)v * wg + k];
         for (int x = 0; x < nh; x++) {
             int p = ng + v * nh + x;
-            const uint64_t *hx = adjh + x * wh;
-            set_bit(adjc + v * wc, p);
-            set_bit(adjc + p * wc, v);
+            const uint64_t *hx = adjh + (size_t)x * wh;
+            set_bit(adjc + (size_t)v * wc, p);
+            set_bit(adjc + (size_t)p * wc, v);
             for (int y = next_bit(hx, wh, 0); y >= 0; y = next_bit(hx, wh, y + 1))
-                set_bit(adjc + p * wc, ng + v * nh + y);
+                set_bit(adjc + (size_t)p * wc, ng + v * nh + y);
         }
     }
     apsp_words(adjc, nc, dc);
-    int8_t diam_g = ecc_core(dg, ng, eccg);
+    int diam_g = ecc_core(dg, ng, eccg);
 
     for (int u = 0; u < ng; u++)
         for (int v = 0; v < ng; v++) {
@@ -527,14 +527,15 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                 int p = ng + u * nh + x;
                 for (int y = 0; y < nh; y++) {
                     int got = dc[p * nc + ng + v * nh + y];
-                    int expect = u != v ? want + 2 : x == y ? 0 : has_bit(adjh + x * wh, y) ? 1 : 2;
+                    int edge = adjh[x * wh + (y >> 6)] >> (y & 63) & 1;
+                    int expect = u != v ? want + 2 : x == y ? 0 : 2 - edge;
                     if (got != expect)
                         return VERIFY_DISTANCE;
                 }
             }
         }
 
-    int8_t diam_c = ecc_core(dc, nc, eccc);
+    int diam_c = ecc_core(dc, nc, eccc);
     if (diam_c != diam_g + 2)
         return VERIFY_DIAMETER;
 
@@ -561,19 +562,20 @@ int hg_corona_verify(const uint64_t *adjg, int ng, const int8_t *dg,
 
 /* builds the box product G [] H (vertex (a, b) at a * nh + b) and checks the
  * sum formulas for distances, eccentricities, diameter and peripheries;
- * ng * nh <= 128 */
-int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
-                        const uint64_t *adjh, int nh, const int8_t *dh)
+ * work: scratch for a graph on ng * nh vertices with ng + nh int16s more */
+int hg_cartesian_verify(const uint64_t *adjg, int ng, const int16_t *dg,
+                        const uint64_t *adjh, int nh, const int16_t *dh, uint64_t *work)
 {
-    uint64_t adjp[MAXN * MAXW];
-    int8_t dp[MAXN2], eccg[MAXN], ecch[MAXN], eccp[MAXN];
     int np = ng * nh, wg = words(ng), wh = words(nh), wp = words(np), wv, wu;
-    for (int i = 0; i < np * wp; i++)
+    struct work w = carve(work, np);
+    uint64_t *adjp = w.adj;
+    int16_t *dp = w.dist, *eccp = w.ecc, *eccg = w.ecc + np, *ecch = eccg + ng;
+    for (size_t i = 0; i < (size_t)np * wp; i++)
         adjp[i] = 0;
     for (int a = 0; a < ng; a++)
         for (int b = 0; b < nh; b++) {
-            uint64_t *mask = adjp + (a * nh + b) * wp;
-            const uint64_t *ga = adjg + a * wg, *hb = adjh + b * wh;
+            uint64_t *mask = adjp + (size_t)(a * nh + b) * wp;
+            const uint64_t *ga = adjg + (size_t)a * wg, *hb = adjh + (size_t)b * wh;
             for (int d = next_bit(hb, wh, 0); d >= 0; d = next_bit(hb, wh, d + 1))
                 set_bit(mask, a * nh + d);
             for (int c = next_bit(ga, wg, 0); c >= 0; c = next_bit(ga, wg, c + 1))
@@ -588,8 +590,8 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
                     if (dp[(a * nh + b) * np + c * nh + d] != dg[a * ng + c] + dh[b * nh + d])
                         return VERIFY_DISTANCE;
 
-    int8_t diam_g = ecc_core(dg, ng, eccg), diam_h = ecc_core(dh, nh, ecch);
-    int8_t diam_p = ecc_core(dp, np, eccp);
+    int diam_g = ecc_core(dg, ng, eccg), diam_h = ecc_core(dh, nh, ecch);
+    int diam_p = ecc_core(dp, np, eccp);
     for (int a = 0; a < ng; a++)
         for (int b = 0; b < nh; b++)
             if (eccp[a * nh + b] != eccg[a] + ecch[b])
@@ -624,23 +626,24 @@ int hg_cartesian_verify(const uint64_t *adjg, int ng, const int8_t *dg,
 }
 
 /* builds the join G + H and checks that it is hangable exactly when it is
- * complete or has at most one universal vertex; ng + nh <= 128 */
-int hg_join_verify(const uint64_t *adjg, int ng, const uint64_t *adjh, int nh)
+ * complete or has at most one universal vertex; work: scratch for a graph
+ * on ng + nh vertices */
+int hg_join_verify(const uint64_t *adjg, int ng, const uint64_t *adjh, int nh, uint64_t *work)
 {
-    uint64_t adjj[MAXN * MAXW];
-    int8_t dj[MAXN2];
-    int nj = ng + nh, wg = words(ng), wh = words(nh), wj = words(nj), universal = 0;
-    for (int i = 0; i < nj * wj; i++)
+    int nj = ng + nh, wg = words(ng), wh = words(nh), wj = words(nj), universal = 0, wv, wu;
+    struct work w = carve(work, nj);
+    uint64_t *adjj = w.adj;
+    for (size_t i = 0; i < (size_t)nj * wj; i++)
         adjj[i] = 0;
     for (int i = 0; i < ng; i++) {
         for (int k = 0; k < wg; k++)
-            adjj[i * wj + k] = adjg[i * wg + k];
+            adjj[(size_t)i * wj + k] = adjg[(size_t)i * wg + k];
         for (int x = 0; x < nh; x++)
-            set_bit(adjj + i * wj, ng + x);
+            set_bit(adjj + (size_t)i * wj, ng + x);
     }
     for (int x = 0; x < nh; x++) {
-        uint64_t *mask = adjj + (ng + x) * wj;
-        const uint64_t *hx = adjh + x * wh;
+        uint64_t *mask = adjj + (size_t)(ng + x) * wj;
+        const uint64_t *hx = adjh + (size_t)x * wh;
         for (int y = next_bit(hx, wh, 0); y >= 0; y = next_bit(hx, wh, y + 1))
             set_bit(mask, ng + y);
         for (int v = 0; v < ng; v++)
@@ -652,11 +655,13 @@ int hg_join_verify(const uint64_t *adjg, int ng, const uint64_t *adjh, int nh)
             uint64_t others = full_word(nj, k);
             if (k == i >> 6)
                 others ^= (uint64_t)1 << (i & 63);
-            all_others &= adjj[i * wj + k] == others;
+            all_others &= adjj[(size_t)i * wj + k] == others;
         }
         universal += all_others;
     }
     int predicted = universal == nj || universal <= 1;
-    apsp_words(adjj, nj, dj);
-    return predicted == (hg_subset(dj, nj) < 0) ? VERIFY_OK : VERIFY_HANGABLE;
+    apsp_words(adjj, nj, w.dist);
+    int diam = ecc_core(w.dist, nj, w.ecc);
+    int hangable = subset_core(w.dist, nj, w.ecc, diam, 1, &wv, &wu);
+    return predicted == hangable ? VERIFY_OK : VERIFY_HANGABLE;
 }

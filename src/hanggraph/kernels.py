@@ -1,18 +1,17 @@
 """Kernel backend selection.
 
 The backend is chosen once, at import.  The compiled kernel (``_ckernel``, C
-built on first import) is used when it loads; it sends graphs past 128
-vertices to the pure-Python twin (``_pykernel``) itself.  When
-the compiled kernel cannot be built or loaded, everything goes to the pure
-twin and a RuntimeWarning says why.  Setting HANGGRAPH_PURE=1 forces the pure
-twin without trying the build.  ``BACKEND`` names the backend in use and
-``BACKEND_REASON`` why: the shared object loaded, HANGGRAPH_PURE=1, or the
-error that kept the compiled kernel out.  The thirteen kernel names here are the
-selected module's own functions; both modules implement the same signatures
-and are equivalence-tested against each other.  The flag bits, verifier
-codes and SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on
-the compiled backend this module never imports ``_pykernel``; ``_ckernel``
-loads it on its first fallback.
+built on first import) is used when it loads, and it answers every call
+itself; when it cannot be built or loaded, the pure-Python twin
+(``_pykernel``) answers everything and a RuntimeWarning says why.  Setting
+HANGGRAPH_PURE=1 forces the pure twin without trying the build.  So
+``BACKEND`` alone says which code answered, and ``BACKEND_REASON`` why: the
+shared object loaded, HANGGRAPH_PURE=1, or the error that kept the compiled
+kernel out.  The thirteen kernel names here are the selected module's own
+functions; both modules implement the same signatures and are
+equivalence-tested against each other.  The flag bits, verifier codes and
+SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on the
+compiled backend this module never imports ``_pykernel``.
 """
 
 from __future__ import annotations

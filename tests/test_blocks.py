@@ -127,8 +127,8 @@ def test_fig_g_not_block_graph(fig_g):
 
 def test_decomposition_block_graph_matches_is_block_graph(one_labeling_per_class):
     # the decomposition's flag comes from its own DFS pass; is_block_graph
-    # asks the kernel (compiled up to 128 vertices).  Every labeled graph to
-    # n = 5, every isomorphism class at n = 6, and graphs past 128 vertices.
+    # asks the kernel.  Every labeled graph to n = 5, every isomorphism class
+    # at n = 6, and graphs past 128 vertices.
     graphs = chain.from_iterable(iter_graphs(n, connected_only=True) for n in range(1, 6))
     graphs = chain(graphs, filter(is_connected, one_labeling_per_class(6)),
                    [path(300), cycle(300), complete(130)])

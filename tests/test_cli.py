@@ -253,32 +253,36 @@ def test_product_join_with_oracle(capsys):
     assert "oracle join hangability: PASS" in out
 
 
-# the exact precondition lines of --oracle-check; the order in which the
-# preconditions are tested decides which message a doubly-bad pair gets
+# the exact oracle lines of --oracle-check when a precondition fails; the
+# order in which the preconditions are tested decides which message a
+# doubly-bad pair gets, and the corona's distance forms, which need only a
+# nonempty connected base, are checked before its metric forms refuse
 PRECONDITION_GOLDENS = [
     pytest.param("corona", "complete:1", "path:2",
-                 "oracle corona: precondition not met: corona metric forms need a base "
-                 "with at least 2 vertices", id="corona-K1-base"),
+                 ["oracle corona distances: PASS",
+                  "oracle corona: precondition not met: corona metric forms need a base "
+                  "with at least 2 vertices"], id="corona-K1-base"),
     pytest.param("corona", "EMPTY", "path:2",
-                 "oracle corona: precondition not met: metric operations need at least "
-                 "one vertex", id="corona-empty-base"),
+                 ["oracle corona: precondition not met: metric operations need at least "
+                  "one vertex"], id="corona-empty-base"),
     pytest.param("corona", "DISCONNECTED", "EMPTY",
-                 "oracle corona: precondition not met: graph is not connected: vertex 2 "
-                 "is unreachable from 0", id="corona-disconnected-base"),
+                 ["oracle corona: precondition not met: graph is not connected: vertex 2 "
+                  "is unreachable from 0"], id="corona-disconnected-base"),
     pytest.param("corona", "path:3", "EMPTY",
-                 "oracle corona: precondition not met: corona metric forms need a "
-                 "nonempty copy factor", id="corona-empty-copy"),
+                 ["oracle corona distances: PASS",
+                  "oracle corona: precondition not met: corona metric forms need a "
+                  "nonempty copy factor"], id="corona-empty-copy"),
     pytest.param("cartesian", "path:3", "EMPTY",
-                 "oracle cartesian: precondition not met: box product metric forms need "
-                 "nonempty factors", id="cartesian-empty-factor"),
+                 ["oracle cartesian: precondition not met: box product metric forms need "
+                  "nonempty factors"], id="cartesian-empty-factor"),
     pytest.param("cartesian", "DISCONNECTED", "EMPTY",
-                 "oracle cartesian: precondition not met: box product metric forms need "
-                 "nonempty factors", id="cartesian-empty-before-disconnected"),
+                 ["oracle cartesian: precondition not met: box product metric forms need "
+                  "nonempty factors"], id="cartesian-empty-before-disconnected"),
     pytest.param("cartesian", "complete:1", "DISCONNECTED",
-                 "oracle cartesian: precondition not met: graph is not connected: vertex "
-                 "2 is unreachable from 0", id="cartesian-disconnected-factor"),
+                 ["oracle cartesian: precondition not met: graph is not connected: vertex "
+                  "2 is unreachable from 0"], id="cartesian-disconnected-factor"),
     pytest.param("join", "EMPTY", "EMPTY",
-                 "oracle join: precondition not met: empty join", id="join-empty"),
+                 ["oracle join: precondition not met: empty join"], id="join-empty"),
 ]
 
 
@@ -291,12 +295,23 @@ def factor_files(tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
-@pytest.mark.parametrize("kind,g,h,line", PRECONDITION_GOLDENS)
-def test_product_oracle_precondition_goldens(capsys, factor_files, fmt, kind, g, h, line):
+@pytest.mark.parametrize("kind,g,h,lines", PRECONDITION_GOLDENS)
+def test_product_oracle_precondition_goldens(capsys, factor_files, fmt, kind, g, h, lines):
     code, out = run(capsys, "product", kind, factor_files(g), factor_files(h),
                     "--oracle-check", "--format", fmt)
     assert code == 0
-    assert [ln for ln in out.splitlines() if ln.startswith("oracle ")] == [line]
+    assert [ln for ln in out.splitlines() if ln.startswith("oracle ")] == lines
+
+
+def test_product_corona_one_vertex_base_checks_distances(capsys):
+    # K1 o P3 is the fan on 4 vertices: its distances follow the corona
+    # forms, though the metric forms need two base vertices
+    code, out = run(capsys, "product", "corona", "complete:1", "path:3", "--oracle-check")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "oracle corona distances: PASS",
+        "oracle corona: precondition not met: corona metric forms need a base with at "
+        "least 2 vertices"]
 
 
 def test_product_oracle_disconnected_join_exit_3(capsys, factor_files):
@@ -453,7 +468,7 @@ def test_blocks_one_decomposition(monkeypatch, capsys, fmt):
 
     monkeypatch.setattr(blocks, "biconnected_components", counting)
     monkeypatch.setattr(kernels, "is_block_graph_masks", refuse)
-    for expr in ("grid:3x4", "path:300"):  # is_block_graph is pure past 128 vertices
+    for expr in ("grid:3x4", "path:300"):
         code, out = run(capsys, "blocks", expr, "--format", fmt)
         assert code == 0 and "block_graph" in out
     assert calls == [12, 300]
@@ -706,7 +721,7 @@ def test_multiline_graph6_file_rejected(tmp_path, capsys):
 
 
 # Under the pure backend every distance matrix is a list; under the compiled
-# one it is an array of bytes up to 128 vertices.  Run the CLI in a child
+# one it is an array of int16.  Run the CLI in a child
 # forced onto the pure backend, one main() per argv in a single interpreter.
 PURE_CHILD = """
 import contextlib, io, json, sys
@@ -756,13 +771,14 @@ def test_cli_under_pure_backend(fig_g_file, fig_h_file, capsys):
 
 # A CLI process imports only what its command runs on: no dataclasses (which
 # loads inspect, ast and dis), and on the compiled backend no pure kernel,
-# whose graph6 decoder serves only graphs past 128 vertices.  "{}" stands for
-# a file of 9-11 vertex lines: C(9, 2) = 36 bits or more of graph6 bit field.
+# which C never calls, past 128 vertices either.  "{}" stands for a file of
+# 9-11 vertex lines: C(9, 2) = 36 bits or more of graph6 bit field.
 @pytest.mark.parametrize("pure", [False, True], ids=["selected", "pure"])
 @pytest.mark.parametrize("argv", [["analyze", "grid:3x4"],
+                                  ["analyze", "path:300"],
                                   ["classify", str(DATA / "classify_corpus.g6")],
                                   ["classify", "{}"]],
-                         ids=["analyze", "classify", "classify-9-11"])
+                         ids=["analyze", "analyze-300", "classify", "classify-9-11"])
 def test_cli_process_imports(tmp_path, argv, pure):
     lines = tmp_path / "nine-to-eleven.g6"
     lines.write_text("HhCGGE@\nHkSg_SD\nIhCGGC@?G\nJ~~~~~~~~~_\nI????????\n")
@@ -795,20 +811,38 @@ def test_closed_stdout_ends_quietly_with_141(tmp_path):
     assert "Traceback" not in err and code == 141, err
 
 
-def test_exhausted_heap_exits_2():
-    # exit 1 is analyze's "connected but not hangable"; a graph whose
-    # distance matrix outgrows the address space is an input too large, so it
-    # ends in exit 2 with one error line and no traceback
+def run_capped(*argv):
+    """``python -m hanggraph argv`` in a child whose address space is capped
+    at 1 GiB."""
     resource = pytest.importorskip("resource")
-    limit = 1 << 30  # the 12000-vertex matrix alone needs more
+    limit = 1 << 30
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    res = subprocess.run([sys.executable, "-m", "hanggraph", "analyze", "path:12000"],
-                         env=child_env(), capture_output=True, text=True, timeout=120,
-                         preexec_fn=cap_address_space)
+    return subprocess.run([sys.executable, "-m", "hanggraph", *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_address_space)
+
+
+def test_exhausted_heap_exits_2():
+    # exit 1 is analyze's "connected but not hangable"; a graph whose
+    # distance matrix outgrows the address space is an input too large, so it
+    # ends in exit 2 with one error line and no traceback.  The 30000-vertex
+    # matrix alone needs 1.7 GiB of int16.
+    res = run_capped("analyze", "path:30000")
     assert "Traceback" not in res.stderr, res.stderr
     assert res.returncode == 2
-    assert res.stderr == "error: out of memory on input of 12000 vertices\n"
+    assert res.stderr == "error: out of memory on input of 30000 vertices\n"
+    assert res.stdout == ""
+
+
+def test_past_the_distance_limit_exits_2():
+    # past 32767 vertices a distance may not fit int16: the command stops
+    # before it allocates the matrix, which here would need 3 GiB
+    res = run_capped("analyze", "path:40000")
+    assert "Traceback" not in res.stderr, res.stderr
+    assert res.returncode == 2
+    assert res.stderr == ("error: a distance matrix needs at most 32767 vertices; "
+                          "the graph has 40000\n")
     assert res.stdout == ""

@@ -8,6 +8,7 @@ import pytest
 
 from hanggraph import (
     DisconnectedGraphError,
+    Graph,
     check_hangable,
     complement,
     from_edge_list,
@@ -113,6 +114,16 @@ def test_self_complementary_n8_degree_matched_negatives(n8_self_complementary_ca
     _, matched = n8_self_complementary_cases
     for g in matched:
         assert is_self_complementary(g) == self_complementary_reference(g), g
+
+
+def test_classify_graph_past_the_distance_limit(monkeypatch):
+    # a distance on 32768 vertices may not fit int16: an error record,
+    # on either backend, before any kernel call
+    monkeypatch.setattr(kernels, "classify_masks", None)
+    record = classify_graph(Graph(32768, (0,) * 32768))
+    assert record.n == 32768 and record.connected is None
+    assert record.error == ("a distance matrix needs at most 32767 vertices; "
+                            "the graph has 32768")
 
 
 def test_classify_graph_one_classify_masks_call(monkeypatch, fig_h):

@@ -16,6 +16,7 @@ import random
 import shutil
 import subprocess
 import sys
+from array import array
 from functools import cache
 from itertools import chain
 from pathlib import Path
@@ -51,7 +52,8 @@ try:
 except ImportError:
     ck = None
 
-compiled = pytest.mark.skipif(ck is None, reason="compiled kernel not built")
+compiled = pytest.mark.skipif(ck is None or kernels.BACKEND != "compiled",
+                              reason="compiled kernel not built or not selected")
 
 # fig H flat distances, for pinpoint kernel-level goldens
 FIG_H_MASKS = [0b1010, 0b1101, 0b1010, 0b0111]
@@ -159,6 +161,10 @@ def test_backends_agree_exhaustive_n5():
     for kernel in (pyk, ck):  # a graph with no vertices has no metrics
         with pytest.raises(ValueError):
             kernel.classify_bits(0, 0)
+        # past 11 vertices the edge index no longer fits the compiled word
+        assert kernel.classify_bits(11, 1 << 54)[0] == 0
+        with pytest.raises(ValueError):
+            kernel.classify_bits(12, 1)
 
 
 def classify_masks_lists(kernel, masks):
@@ -274,18 +280,42 @@ def test_backends_agree_classify_masks_random():
     assert len(kinds) == 6, kinds
 
 
+def past_128_graphs(seed):
+    """Seeded graphs of 129-300 vertices, sparse and dense, connected or not,
+    with masks of three to five words; the last has a universal vertex, so
+    its complement is disconnected."""
+    rng = random.Random(seed)
+    graphs = [random_connected_graph(n, rng, p).masks
+              for n, p in ((129, 0.0), (192, 0.01), (256, 0.95), (300, 0.003))]
+    graphs += [rand_masks(rng, n, p) for n, p in ((150, 0.01), (257, 0.5))]
+    hub = random_connected_graph(200, rng, 0.02).masks
+    graphs.append([(1 << 200) - 2] + [mask | 1 for mask in hub[1:]])
+    return graphs
+
+
+def watch_pure(monkeypatch):
+    """Record every call of a ``_pykernel`` function from now on."""
+    calls = []
+    for name, fn in vars(pyk).items():
+        if callable(fn) and getattr(fn, "__module__", None) == pyk.__name__:
+            monkeypatch.setattr(pyk, name, lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+    return calls
+
+
 @compiled
 def test_backends_agree_classify_masks_past_128(monkeypatch):
-    # past 128 vertices the compiled module hands the graph to the pure twin
-    twin, calls = pyk.classify_masks, []
-    monkeypatch.setattr(pyk, "classify_masks", lambda masks: calls.append(len(masks)) or twin(masks))
-    masks = random_connected_graph(130, random.Random(41), 0.02).masks
-    assert ck.classify_masks(masks) == twin(masks)
-    assert calls == [130]
+    # C answers past 128 vertices itself, with no call to the pure twin
+    graphs = past_128_graphs(41)
+    want = [classify_masks_lists(pyk, masks) for masks in graphs]
+    pure_calls = watch_pure(monkeypatch)
+    assert [classify_masks_lists(ck, masks) for masks in graphs] == want
+    assert {w[0] & (pyk.F_CONNECTED | pyk.F_COMPLEMENT_CONNECTED) for w in want} == {
+        pyk.F_CONNECTED, pyk.F_COMPLEMENT_CONNECTED, pyk.F_CONNECTED | pyk.F_COMPLEMENT_CONNECTED}
+    assert pure_calls == []
 
 
 @compiled
-def test_backends_agree_graph6_masks(monkeypatch):
+def test_backends_agree_graph6_masks():
     cases = [graph6_case(n, bits) for n in range(7) for bits in all_bits(n)]
     rng = random.Random(53)
     for n in chain(range(7, 24), (31, 32, 62, 63, 64, 65, 90, 127, 128)):
@@ -298,16 +328,27 @@ def test_backends_agree_graph6_masks(monkeypatch):
         assert ck.graph6_masks(n, body) == pyk.graph6_masks(n, body) == masks, (n, body)
     # nonzero padding bits are never read
     assert ck.graph6_masks(2, b"~") == pyk.graph6_masks(2, b"~") == (2, 1)
-    # past 128 vertices the compiled module hands the body to the pure twin
-    twin, calls = pyk.graph6_masks, []
-    monkeypatch.setattr(pyk, "graph6_masks", lambda n, body: calls.append(n) or twin(n, body))
-    body, masks = graph6_case(130, rng.getrandbits(130 * 129 // 2))
-    assert ck.graph6_masks(130, body) == masks
-    assert calls == [130]
-    for decode in (ck.graph6_masks, twin):  # a body of the wrong length never reaches C
+    for decode in (ck.graph6_masks, pyk.graph6_masks):  # a body of the wrong length never reaches C
         for n, body in ((4, b"??"), (4, b""), (7, b"???"), (1, b"?")):
             with pytest.raises(ValueError):
                 decode(n, body)
+
+
+@compiled
+def test_backends_agree_graph6_masks_past_128(monkeypatch):
+    rng = random.Random(53)
+    cases = [graph6_case(n, rng.getrandbits(n * (n - 1) // 2)) for n in (129, 191, 192, 193, 300)]
+    cases += [graph6_case(len(masks), bits_of_graph6_stream(masks)) for masks in past_128_graphs(53)]
+    want = [pyk.graph6_masks(len(masks), body) for body, masks in cases]
+    pure_calls = watch_pure(monkeypatch)
+    assert [ck.graph6_masks(len(masks), body) for body, masks in cases] == want
+    assert want == [masks for _, masks in cases]
+    assert pure_calls == []
+
+
+def bits_of_graph6_stream(masks):
+    """The graph6 stream of ``masks``: bit t for the t-th pair (0,1), (0,2), (1,2), ..."""
+    return sum(1 << t for t, (i, j) in enumerate(graph6_pairs(len(masks))) if masks[i] >> j & 1)
 
 
 @compiled
@@ -391,7 +432,7 @@ def test_backends_agree_smallest_power_reference(one_labeling_per_class):
     graphs += [random_connected_graph(rng.randint(7, 128), rng,
                                       rng.choice([0.005, 0.02, 0.05, 0.2]))
                for _ in range(120)]
-    graphs.append(path(129))  # past 128 vertices the compiled module asks the pure twin
+    graphs.append(path(129))
     seen = set()
     for g in graphs:
         dist = pyk.apsp(g.masks)
@@ -434,7 +475,7 @@ def profile_lists(kernel, dist, n):
 
 
 @compiled
-def test_backends_agree_profile(monkeypatch, one_labeling_per_class, profile_reference):
+def test_backends_agree_profile(one_labeling_per_class, profile_reference):
     rng = random.Random(31)
     graphs = [g for n in range(1, 6) for g in iter_graphs(n, connected_only=True)]
     graphs += [g for g in one_labeling_per_class(6) if is_connected(g)]
@@ -456,13 +497,21 @@ def test_backends_agree_profile(monkeypatch, one_labeling_per_class, profile_ref
     for kernel in (pyk, ck):  # a graph with no vertices has no metrics
         with pytest.raises(ValueError):
             kernel.profile([], 0)
-    # past 128 vertices the compiled module hands the call to the pure twin
-    twin, calls = pyk.profile, []
-    monkeypatch.setattr(pyk, "profile", lambda dist, n: calls.append(n) or twin(dist, n))
-    g = random_connected_graph(130, rng, 0.05)
-    dist = pyk.apsp(g.masks)
-    assert ck.profile(dist, 130) == twin(dist, 130)
-    assert calls == [130]
+
+
+@compiled
+def test_backends_agree_profile_past_128(monkeypatch):
+    # every P(v) from a single vertex to most of V, ids past 255, and
+    # path(300)'s diameter of 299, which an int8 matrix could not hold
+    graphs = [masks for masks in past_128_graphs(31) if pyk.is_connected_masks(masks)]
+    graphs += [path(300).masks, complete(200).masks]
+    dists = [pyk.apsp(masks) for masks in graphs]
+    want = [profile_lists(pyk, dist, len(masks)) for dist, masks in zip(dists, graphs)]
+    assert max(w[1] for w in want) == 299
+    pure_calls = watch_pure(monkeypatch)
+    assert [profile_lists(ck, ck.apsp(masks), len(masks)) for masks in graphs] == want
+    assert [profile_lists(ck, dist, len(masks)) for dist, masks in zip(dists, graphs)] == want
+    assert pure_calls == []
 
 
 @compiled
@@ -484,11 +533,66 @@ def test_compiled_rejects_mismatched_distance_length():
             ck.corona_verify(mg, dist, mh)
 
 
+RAW_ENTRIES = ("_apsp", "_connected", "_block", "_kmin", "_subset", "_triples", "_profile",
+               "_classify", "_classify_masks", "_graph6", "_corona", "_cartesian", "_join")
+
+
+@compiled
+def test_compiled_writes_stay_in_their_buffers(monkeypatch):
+    # every buffer C writes is a repeat of one of ck._ZERO's zero items; here
+    # each comes 64 bytes longer and filled with a sentinel, which C must
+    # neither read as data nor overwrite past the size the wrapper asked for
+    pad, sentinel = 64, b"\xa5"
+    buffers = []
+
+    class Guarded:
+        def __init__(self, typecode):
+            self.typecode = typecode
+
+        def __mul__(self, count):
+            buf = array(self.typecode, sentinel * (array(self.typecode).itemsize * count + pad))
+            buffers.append((buf, buf.itemsize * count))
+            return buf
+
+    called = set()
+    for name in RAW_ENTRIES:
+        monkeypatch.setattr(ck, name, lambda *a, _name=name, _fn=getattr(ck, name):
+                            called.add(_name) or _fn(*a))
+    monkeypatch.setattr(ck, "_ZERO", {code: Guarded(code) for code in ck._ZERO})
+    rng = random.Random(61)
+    for n in (1, 63, 64, 65, 128, 129, 300):
+        masks = random_connected_graph(n, rng, 4 / n).masks
+        dist = pyk.apsp(masks)
+        h = random_connected_graph(n - 1, rng, 0.1).masks if n > 1 else []
+        half = random_connected_graph(max(1, n // 2), rng, 0.1).masks
+        rest = random_connected_graph(n - len(half), rng, 0.1).masks if n > 1 else []
+        body = graph6_case(n, bits_of_graph6_stream(masks))[0]
+
+        def answers(kernel):
+            out = [list(kernel.apsp(masks))[:n * n], kernel.is_connected_masks(masks),
+                   kernel.is_block_graph_masks(masks), kernel.smallest_power_k(dist, n),
+                   kernel.hangable_subset(dist, n), kernel.hangable_triples(dist, n),
+                   tuple(kernel.profile(dist, n)[1:3]), kernel.classify_masks(masks)[:6],
+                   kernel.graph6_masks(n, body)[:n],
+                   kernel.corona_verify([0], [0], h),  # on 1 + (n - 1) vertices
+                   kernel.cartesian_verify([0], [0], masks, dist),  # on 1 x n vertices
+                   kernel.join_verify(half, rest)]  # on n vertices
+            if n <= pyk.MAX_CLASSIFY_N:
+                out.append(kernel.classify_bits(n, 0))
+            return out
+
+        want = answers(pyk)
+        assert answers(ck) == want, n
+        for buf, used in buffers:
+            assert buf.tobytes()[used:] == sentinel * pad, (n, buf.typecode, used)
+        buffers.clear()
+    assert called == set(RAW_ENTRIES)
+
+
 @compiled
 def test_backends_agree_65_to_128():
-    # the sizes that take two words per mask: witness ids of 64 and more fill
-    # the 7-bit packed fields, path(128) reaches diameter 127, the largest
-    # distance a signed byte holds, and K_128 fills the block DFS's edge stack
+    # the sizes that take two words per mask: witness ids of 64 and more,
+    # path(128) at diameter 127, and K_128, one block of 128 vertices
     rng = random.Random(29)
     connected = [path(128).masks, path(65).masks, complete(128).masks,
                  random_connected_graph(100, rng, 0.5).masks]
@@ -530,21 +634,38 @@ def test_backends_agree_65_to_128():
 
 
 @compiled
-def test_compiled_answers_oversized_like_pure():
-    # past 128 vertices the compiled module hands the call to the pure twin
-    masks = path(129).masks
-    dist = pyk.apsp(masks)
-    assert ck.apsp(masks) == dist
-    assert ck.hangable_subset(dist, 129) == pyk.hangable_subset(dist, 129)
-    assert ck.hangable_triples(dist, 129) == pyk.hangable_triples(dist, 129)
-    rng = random.Random(5)
-    for _ in range(5):
-        bits = rng.getrandbits(pair_count(12))
-        assert ck.classify_bits(12, bits) == pyk.classify_bits(12, bits)
-    mg = cycle(5).masks  # corona on 5 * (1 + 25) = 130 vertices
-    mh = rand_masks(rng, 25, 0.5)
-    dg = pyk.apsp(mg)
-    assert ck.corona_verify(mg, dg, mh) == pyk.corona_verify(mg, dg, mh)
+def test_backends_agree_past_128(monkeypatch):
+    # every other entry point past 128 vertices, answered by C alone:
+    # witness ids past 255 and distances past 127 in the packed words
+    graphs = past_128_graphs(5) + [path(300).masks, complete(129).masks,
+                                   random_connected_graph(300, random.Random(6), 0.003).masks]
+    products = [(cycle(5).masks, random_connected_graph(25, random.Random(5)).masks),  # corona on 130
+                (path(3).masks, path(60).masks),  # corona on 183, cartesian on 180
+                (random_connected_graph(2, random.Random(5)).masks, complete(150).masks)]
+
+    connected = [pyk.is_connected_masks(masks) for masks in graphs]
+
+    def answers(kernel):
+        out = []
+        for masks, is_connected in zip(graphs, connected):
+            n = len(masks)
+            dist = kernel.apsp(masks)
+            out.append((list(dist), kernel.is_connected_masks(masks)))
+            if is_connected:
+                out.append((kernel.hangable_subset(dist, n), kernel.hangable_triples(dist, n),
+                            kernel.smallest_power_k(dist, n), kernel.is_block_graph_masks(masks)))
+        for mg, mh in products:  # every H here is connected
+            dg, dh = kernel.apsp(mg), kernel.apsp(mh)
+            out.append((kernel.corona_verify(mg, dg, mh), kernel.join_verify(mg, mh),
+                        kernel.cartesian_verify(mg, dg, mh, dh)))
+        return out
+
+    want = answers(pyk)
+    assert max(max(w[0]) for w in want if len(w) == 2 and isinstance(w[0], list)) == 299
+    assert any(w[0][0] is False and max(w[0][1:]) > 255 for w in want if len(w) == 4)
+    pure_calls = watch_pure(monkeypatch)
+    assert answers(ck) == want
+    assert pure_calls == []
 
 
 @compiled
@@ -576,13 +697,17 @@ def test_wrapper_backend_reported():
         assert getattr(kernels, name) is getattr(backend, name), name
 
 
-def test_wrapper_handles_large_graphs_via_pure():
-    # 130 vertices exceeds the compiled kernel's 128; the call must reach the
-    # pure kernel transparently, whose list holds a distance past a byte
-    g = path(130)
+def test_backends_agree_selected_past_128(monkeypatch):
+    # the selected backend answers past 128 vertices, with distances past a
+    # signed byte, and on the compiled backend never asks the pure twin
+    g = path(300)
+    want = (pyk.apsp(g.masks), pyk.hangable_triples(pyk.apsp(g.masks), 300))
+    pure_calls = watch_pure(monkeypatch)
     flat = kernels.apsp(g.masks)
-    assert flat[129] == 129
-    assert kernels.is_connected_masks(g.masks)
+    assert (list(flat), kernels.hangable_triples(flat, 300)) == want
+    assert flat[299] == 299 and kernels.is_connected_masks(g.masks)
+    if kernels.BACKEND == "compiled":
+        assert pure_calls == []
 
 
 def test_wrapper_verify_codes_ok():
@@ -677,10 +802,11 @@ def test_backend_agreement_under_ubsan(tmp_path):
 @pytest.mark.skipif(shutil.which(CC_PROGRAM) is None, reason="no C compiler")
 def test_kernel_compiles_without_warnings(tmp_path):
     # a leftover static core, such as an unused decider, fails here as
-    # -Wunused-function instead of shipping
+    # -Wunused-function instead of shipping, and a stack array sized by n
+    # as -Wvla
     cc = (os.environ.get("CC") or "cc").split() or ["cc"]
     source = Path(SRC) / "hanggraph" / "hgkernel.c"
-    res = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+    res = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-Wvla", "-shared", "-fPIC",
                           "-o", str(tmp_path / "hgkernel.so"), str(source)],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr

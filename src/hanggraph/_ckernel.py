@@ -20,8 +20,13 @@ first; distance matrices as an ``array('h')`` (int16, -1 for unreachable),
 read in place, so any other flat int sequence is converted first; a graph6
 bit field as its bytes.  ``apsp`` and ``classify_masks`` return the
 ``array('h')`` C filled, and ``profile`` the eccentricities (``array('h')``),
-every P(v) as ascending vertex ids, P(0) first (``array('H')`` of n * n
-items, the counts' sum of them in use), and each |P(v)| (``array('H')``).
+every P(v) as ascending vertex ids, P(0) first (``array('H')`` of as many
+items as the counts sum to, which the first of its two C calls returns), and
+each |P(v)| (``array('H')``).  ``subgraph_counts`` walks the k-subsets of a
+host in one C call per ``HITS`` hangable subsets it reports: C keeps the
+current subset in an index array of k ints, builds each subset's graph in
+scratch for a graph on k vertices, and writes the ids of the hangable ones
+into a hits buffer of ``HITS`` * k ints when the caller wants them.
 Tuples come back packed into one 64-bit word, laid out in each docstring.
 
 C allocates nothing: every buffer it writes is a repeat of one of the
@@ -45,7 +50,7 @@ import zlib
 from array import array
 from ctypes import c_int, c_int64, c_uint64, c_void_p
 from functools import cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._contract import F_COMPLEMENT_CONNECTED, F_CONNECTED, MAX_CLASSIFY_N, MAX_DISTANCE_N
 
@@ -55,6 +60,7 @@ BLOCK_INTS = 6  # ints per vertex of the block test's scratch, as in hgkernel.c
 # one zero item of each type C reads or writes: repeating one is the
 # cheapest way to get a fresh buffer for C to fill
 _ZERO = {code: array(code, [0]) for code in "hHiQ"}
+HITS = 1024  # hangable subsets per subgraph_counts call: bounds its hits buffer
 
 
 def compiler() -> list[str]:
@@ -159,13 +165,15 @@ try:
     _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int, _P)
     _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int, _P)
     _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int, _P)
-    _profile = _entry(_lib, "hg_profile", c_int64, _P, c_int, _P, _P, _P)
+    _profile = _entry(_lib, "hg_profile", c_int64, _P, c_int, _P, _P)
+    _profile_members = _entry(_lib, "hg_profile_members", None, _P, c_int, _P, _P)
     _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
     _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P, _P)
     _graph6 = _entry(_lib, "hg_graph6_masks", None, _P, c_int, _P)
     _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int, _P)
     _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P, _P)
     _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int, _P)
+    _subgraphs = _entry(_lib, "hg_subgraph_counts", c_int, _P, c_int, c_int, _P, _P, _P, c_int)
 except (OSError, AttributeError) as exc:
     # unreadable source, no cache directory, failed exec or load, missing symbol
     raise ImportError(f"compiled kernel unavailable: {exc}") from exc
@@ -231,14 +239,16 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
 
 def profile(dist: Sequence[int], n: int) -> tuple[Sequence[int], int, int,
                                                   Sequence[int], Sequence[int]]:
-    """Mirror of the pure profile.  C fills the three arrays the module
-    docstring describes and packs the diameter in bits 0-15 of its word and
-    the radius in bits 16-31."""
+    """Mirror of the pure profile.  One C call fills the eccentricities and
+    counts and packs the diameter in bits 0-15 of its word, the radius in
+    bits 16-31 and the counts' sum above; a second fills the members, in a
+    buffer of that many ids."""
     d = _dist(dist, n)
-    ecc, members, counts = _ZERO["h"] * n, _ZERO["H"] * (n * n), _ZERO["H"] * n
-    r = _profile(d.buffer_info()[0], n, ecc.buffer_info()[0], members.buffer_info()[0],
-                 counts.buffer_info()[0])
-    return ecc, r & 0xFFFF, r >> 16, members, counts
+    ecc, counts = _ZERO["h"] * n, _ZERO["H"] * n
+    r = _profile(d.buffer_info()[0], n, ecc.buffer_info()[0], counts.buffer_info()[0])
+    members = _ZERO["H"] * (r >> 32)
+    _profile_members(d.buffer_info()[0], n, ecc.buffer_info()[0], members.buffer_info()[0])
+    return ecc, r & 0xFFFF, r >> 16 & 0xFFFF, members, counts
 
 
 def is_block_graph_masks(masks: Sequence[int]) -> bool:
@@ -324,3 +334,32 @@ def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     work = _ZERO["Q"] * _work_words(nj)
     return _join(_masks(masks_g), len(masks_g), _masks(masks_h), len(masks_h),
                  work.buffer_info()[0])
+
+
+def subgraph_counts(masks: Sequence[int], k: int,
+                    emit: Callable[[tuple[int, ...]], object] | None = None) -> tuple[int, int]:
+    """Mirror of the pure subgraph_counts.  C walks the k-subsets from the
+    index array on and writes the connected and hangable subsets it visited
+    into the two count words of its scratch.  With ``emit``, it writes the
+    ids of up to ``HITS`` hangable subsets per call into the hits buffer and
+    returns 0 when that is full, the index array then holding the next
+    subset, so the walk resumes there."""
+    n = len(masks)
+    if not 1 <= k <= min(n, MAX_DISTANCE_N):
+        raise ValueError(f"subgraph_counts needs 1 <= k <= n and k <= {MAX_DISTANCE_N}, "
+                         f"got k = {k} on {n} vertices")
+    adj, idx, work = _masks(masks), _ZERO["i"] * k, _ZERO["Q"] * _work_words(k)
+    idx[:k] = array("i", range(k))  # the first subset
+    cap = HITS if emit is not None else 0
+    hits = _ZERO["i"] * (cap * k)
+    args = (adj, n, k, idx.buffer_info()[0], work.buffer_info()[0], hits.buffer_info()[0], cap)
+    connected = hangable = 0
+    while True:
+        done = _subgraphs(*args)
+        connected += work[0]
+        hangable += work[1]
+        if emit is not None:
+            for t in range(0, work[1] * k, k):
+                emit(tuple(hits[t:t + k]))
+        if done:
+            return connected, hangable

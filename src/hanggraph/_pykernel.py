@@ -33,16 +33,18 @@ search.  ``graph6_masks`` decodes a graph6 bit field into masks.
 (eccentricities, diameter, radius, members, counts), where members holds
 each P(v) as ascending vertex ids, P(0) first, and counts[v] = |P(v)|; the
 compiled twin returns the same fields in arrays, its diameter and radius
-packed into one word by C.
+packed into one word by C.  ``subgraph_counts`` walks the k-subsets of a
+host in ``itertools.combinations`` order and judges each induced subgraph
+with ``apsp`` and ``_subset``, building no ``Graph``.
 ``biconnected_blocks`` has no compiled twin; it serves
 ``blocks.biconnected_components`` and ``is_block_graph_masks``.
 """
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import eq
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
                         F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_SELF_COMPLEMENTARY, F_TREE,
@@ -207,6 +209,41 @@ def _subset(dist: Sequence[int], n: int, ecc: list[int], diam: int,
             if dist[base + u] >= tv and ecc[u] < td:
                 return (False, v, u)
     return (True, -1, -1)
+
+
+def subgraph_counts(masks: Sequence[int], k: int,
+                    emit: Callable[[tuple[int, ...]], object] | None = None) -> tuple[int, int]:
+    """(connected, hangable) over the k-subsets of the vertices of ``masks``:
+    how many subsets induce a connected subgraph, and how many of those a
+    hangable one.  The subsets are walked in lexicographic order, the order
+    of ``itertools.combinations``; ``emit``, when given, gets each hangable
+    subset's ascending vertex ids as a tuple, in that order.  Raises
+    ``ValueError`` unless 1 <= k <= n."""
+    n = len(masks)
+    if not 1 <= k <= n:
+        raise ValueError(f"subgraph_counts needs 1 <= k <= n, got k = {k} on {n} vertices")
+    connected = hangable = 0
+    for ids in combinations(range(n), k):
+        bit = {v: 1 << i for i, v in enumerate(ids)}  # host vertex -> its bit in the subset
+        keep = sum([1 << v for v in ids])
+        sub = []
+        for v in ids:
+            old, new = masks[v] & keep, 0
+            while old:
+                low = old & -old
+                new |= bit[low.bit_length() - 1]
+                old ^= low
+            sub.append(new)
+        if not is_connected_masks(sub):
+            continue
+        connected += 1
+        dist = apsp(sub)
+        ecc = _eccentricities(dist, k)
+        if _subset(dist, k, ecc, max(ecc), 1)[0]:
+            hangable += 1
+            if emit is not None:
+                emit(ids)
+    return connected, hangable
 
 
 def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:

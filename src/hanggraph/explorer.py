@@ -9,24 +9,24 @@ The subset decider judges that matrix for the complement's hangability, so
 no APSP runs here; a graph too large for a distance matrix gets an error
 record.  classify_stream maps
 a graph6 stream to records in input order, turning bad lines into error
-records instead of dying.  search_hangable_subgraphs enumerates induced
-subgraphs of a host up to a subset budget.  smallest_hangable_power walks
+records instead of dying.  search_hangable_subgraphs counts the connected
+and the hangable induced subgraphs of a host per subset size, up to a subset
+budget, with one ``subgraph_counts`` kernel call per size: the kernel walks
+the subsets and builds no ``Graph``; only a hangable subset whose graph6 is
+asked for becomes one.  smallest_hangable_power walks
 k = 1, 2, ... building each power explicitly: it is the independent route
 the tests hold the kernel's transform against.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from . import graph6 as g6
 from . import kernels
 from ._contract import (F_BLOCK_GRAPH, F_CONNECTED, F_SELF_CENTERED, F_SELF_COMPLEMENTARY,
                         F_TREE, MAX_DISTANCE_N, SELF_COMPLEMENTARY_MAX_N)
-from .graph import (Graph, GraphInputError, distance_limit_error, induced_subgraph,
-                    is_connected, power)
+from .graph import Graph, GraphInputError, distance_limit_error, induced_subgraph, power
 from .metrics import check_hangable
 
 
@@ -160,35 +160,31 @@ def search_hangable_subgraphs(host: Graph, max_vertices: int,
     connected subsets either way; the two modes differ in what the subset
     column reports: "induced" counts every subset, "connected-induced" counts
     only the connected ones.  Refuses outright when the subset count exceeds
-    ``budget``.  ``collect_graph6`` gathers the distinct graph6 strings of
-    the hangable subgraphs (distinct as labeled encodings of the renumbered
-    subgraphs, not up to isomorphism).
+    ``budget``, counting only until it does.  ``collect_graph6`` gathers the
+    distinct graph6 strings of the hangable subgraphs (distinct as labeled
+    encodings of the renumbered subgraphs, not up to isomorphism).
     """
     if mode not in ("induced", "connected-induced"):
         raise GraphInputError(f"unknown search mode {mode!r}")
-    if not 1 <= max_vertices <= host.n:
+    n = host.n
+    if not 1 <= max_vertices <= n:
         raise GraphInputError(
-            f"max_vertices must be in 1..{host.n}, got {max_vertices}")
-    total = sum(comb(host.n, k) for k in range(1, max_vertices + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"search needs {total} subsets, over the budget of {budget}")
+            f"max_vertices must be in 1..{n}, got {max_vertices}")
+    subsets, total = [1], 0  # subsets[k] = comb(n, k), each from the one before
+    for k in range(1, max_vertices + 1):
+        subsets.append(subsets[-1] * (n - k + 1) // k)
+        total += subsets[k]
+        if total > budget:  # stop before the counts grow too large to add up
+            raise BudgetExceededError(
+                f"search needs more than the budget of {budget} subsets")
 
     found: set[str] | None = set() if collect_graph6 else None
+    emit = None if found is None else (
+        lambda ids: found.add(g6.to_graph6(induced_subgraph(host, ids))))
     counts = []
     for k in range(1, max_vertices + 1):
-        subsets = connected = hangable = 0
-        for combo in itertools.combinations(range(host.n), k):
-            subsets += 1
-            sub = induced_subgraph(host, combo)
-            if not is_connected(sub):
-                continue
-            connected += 1
-            if check_hangable(sub).hangable:
-                hangable += 1
-                if found is not None:
-                    found.add(g6.to_graph6(sub))
-        reported = connected if mode == "connected-induced" else subsets
+        connected, hangable = kernels.subgraph_counts(host.masks, k, emit)
+        reported = connected if mode == "connected-induced" else subsets[k]
         counts.append(SizeCount(k, reported, connected, hangable))
     emitted = tuple(sorted(found)) if found is not None else None
     return SubgraphSearchReport(mode, max_vertices, tuple(counts), emitted)

@@ -17,7 +17,11 @@
  * back packed into one 64-bit word, laid out in the comment on each entry;
  * arrays go out through buffers the caller passes in.  kmin reads G's own
  * matrix: one subset decider judges every power G^k through a threshold on
- * G's distances, and no power matrix is built.
+ * G's distances, and no power matrix is built.  hg_subgraph_counts walks
+ * every k-subset of a host in lexicographic order and runs the same
+ * connectivity, APSP and subset cores on each induced subgraph; the current
+ * subset lives in the caller's index array, so a walk stopped by a full hits
+ * buffer resumes where it stopped.
  */
 
 #include <stddef.h>
@@ -322,25 +326,100 @@ int64_t hg_triples(const int16_t *dist, int n, int16_t *ecc)
     return (int64_t)w[0] << 32 | (int64_t)w[1] << 16 | w[2];
 }
 
-/* the metric profile: ecc[v] for every vertex, each P(v) as ascending vertex
- * ids, row after row, into members (at most n * n), and |P(v)| into
- * counts[v]; returns diameter | radius << 16 */
-int64_t hg_profile(const int16_t *dist, int n, int16_t *ecc, uint16_t *members, uint16_t *counts)
+/* the metric profile but its members: ecc[v] for every vertex and |P(v)|
+ * into counts[v]; returns diameter | radius << 16 | the counts' sum << 32 */
+int64_t hg_profile(const int16_t *dist, int n, int16_t *ecc, uint16_t *counts)
 {
     int16_t diam = ecc_core(dist, n, ecc), radius = diam;
-    size_t t = 0;
+    int64_t total = 0;
     for (int v = 0; v < n; v++) {
         const int16_t *row = dist + (size_t)v * n;
         int16_t e = ecc[v];
-        size_t start = t;
+        uint16_t c = 0;
         for (int u = 0; u < n; u++)
-            if (row[u] == e)
-                members[t++] = (uint16_t)u;
-        counts[v] = (uint16_t)(t - start);
+            c += row[u] == e;
+        counts[v] = c;
+        total += c;
         if (e < radius)
             radius = e;
     }
-    return (int64_t)radius << 16 | diam;
+    return total << 32 | (int64_t)radius << 16 | diam;
+}
+
+/* each P(v) as ascending vertex ids, row after row, into members, given the
+ * eccentricities hg_profile left in ecc: as many ids as its counts sum to */
+void hg_profile_members(const int16_t *dist, int n, const int16_t *ecc, uint16_t *members)
+{
+    size_t t = 0;
+    for (int v = 0; v < n; v++) {
+        const int16_t *row = dist + (size_t)v * n;
+        for (int u = 0; u < n; u++)
+            if (row[u] == ecc[v])
+                members[t++] = (uint16_t)u;
+    }
+}
+
+/* the k-subsets of a host on n vertices, from the one in idx[0 .. k-1] on,
+ * in lexicographic order, which is itertools.combinations' (Knuth, TAOCP 4A,
+ * 7.2.1.3, Algorithm L).  Each subset's masks are compressed into w.adj, k
+ * words of Wk per vertex, with k(k-1)/2 bit tests; w.out[0] counts the
+ * connected subsets this call visits and w.out[1] the hangable ones.  With
+ * cap > 0 the k host ids of each hangable subset go into hits, and once cap
+ * subsets are there the walk stops with idx at the next subset.  Returns 1
+ * when the walk has passed the last subset, else 0. */
+static inline __attribute__((always_inline)) int
+subgraph_walk(const uint64_t *adj, int n, int k, int Wk, int *idx, struct work w,
+              int *hits, int cap)
+{
+    int W = words(n), found = 0, wv, wu;
+    uint64_t *sub = w.adj;
+    w.out[0] = w.out[1] = 0;
+    for (;;) {
+        for (size_t i = 0; i < (size_t)k * Wk; i++)
+            sub[i] = 0;
+        for (int i = 0; i < k; i++) {
+            const uint64_t *a = adj + (size_t)idx[i] * W;
+            for (int j = i + 1; j < k; j++)
+                if (a[idx[j] >> 6] >> (idx[j] & 63) & 1) {
+                    set_bit(sub + (size_t)i * Wk, j);
+                    set_bit(sub + (size_t)j * Wk, i);
+                }
+        }
+        if (connected_core(sub, k, Wk)) {
+            w.out[0]++;
+            apsp_core(sub, k, Wk, w.dist);
+            int diam = ecc_core(w.dist, k, w.ecc);
+            if (subset_core(w.dist, k, w.ecc, diam, 1, &wv, &wu)) {
+                w.out[1]++;
+                if (cap) {
+                    for (int i = 0; i < k; i++)
+                        hits[(size_t)found * k + i] = idx[i];
+                    found++;
+                }
+            }
+        }
+        int i = k - 1; /* the last id that can still grow */
+        while (i >= 0 && idx[i] == n - k + i)
+            i--;
+        if (i < 0)
+            return 1;
+        idx[i]++;
+        for (int j = i + 1; j < k; j++)
+            idx[j] = idx[j - 1] + 1;
+        if (found == cap && cap)
+            return 0;
+    }
+}
+
+/* subgraph_walk over a host with masks adj; work: scratch for a graph on k
+ * vertices (struct work), whose two count words get the walk's counts;
+ * hits: cap * k ints */
+int hg_subgraph_counts(const uint64_t *adj, int n, int k, int *idx, uint64_t *work,
+                       int *hits, int cap)
+{
+    if (k <= 64)
+        return subgraph_walk(adj, n, k, 1, idx, carve(work, k), hits, cap);
+    return subgraph_walk(adj, n, k, words(k), idx, carve(work, k), hits, cap);
 }
 
 /* the classify flags of a connected graph with m edges and masks of W

@@ -7,7 +7,7 @@ itself; when it cannot be built or loaded, the pure-Python twin
 HANGGRAPH_PURE=1 forces the pure twin without trying the build.  So
 ``BACKEND`` alone says which code answered, and ``BACKEND_REASON`` why: the
 shared object loaded, HANGGRAPH_PURE=1, or the error that kept the compiled
-kernel out.  The thirteen kernel names here are the selected module's own
+kernel out.  The fourteen kernel names here are the selected module's own
 functions; both modules implement the same signatures and are
 equivalence-tested against each other.  The flag bits, verifier codes and
 SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on the
@@ -61,9 +61,9 @@ if _c is not None:
     from ._ckernel import (apsp, cartesian_verify, classify_bits, classify_masks,
                            corona_verify, graph6_masks, hangable_subset, hangable_triples,
                            is_block_graph_masks, is_connected_masks, join_verify,
-                           profile, smallest_power_k)
+                           profile, smallest_power_k, subgraph_counts)
 else:
     from ._pykernel import (apsp, cartesian_verify, classify_bits, classify_masks,
                             corona_verify, graph6_masks, hangable_subset, hangable_triples,
                             is_block_graph_masks, is_connected_masks, join_verify,
-                            profile, smallest_power_k)
+                            profile, smallest_power_k, subgraph_counts)

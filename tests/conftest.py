@@ -18,6 +18,9 @@ match their complement's.
 ``profile_reference`` builds a ``MetricProfile`` from distance rows by
 scanning every entry in Python, as the package did before the profile became
 a kernel call; it checks both kernels' ``profile`` and ``metric_profile``.
+``subgraph_search_reference`` is ``search_hangable_subgraphs`` as it was
+before the walk became a kernel call: one ``Graph`` per subset through
+``induced_subgraph``, ``is_connected`` and ``check_hangable``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from functools import cache
 
 import pytest
 
-from hanggraph import Graph, MetricProfile, complement, from_edge_list, kernels
+from hanggraph import (Graph, MetricProfile, check_hangable, complement, from_edge_list,
+                       induced_subgraph, is_connected, kernels, to_graph6)
+from hanggraph.explorer import SizeCount, SubgraphSearchReport
 
 FIG_G_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3), (2, 4)]
 FIG_H_EDGES = [(0, 1), (0, 3), (1, 3), (1, 2), (2, 3)]
@@ -176,3 +181,31 @@ def _profile_by_rows(rows) -> MetricProfile:
 @pytest.fixture(scope="session")  # session scope, so hypothesis tests may take it
 def profile_reference():
     return _profile_by_rows
+
+
+def _search_by_public_routes(host: Graph, max_vertices: int, mode: str,
+                             collect_graph6: bool) -> SubgraphSearchReport:
+    """The search report of ``host`` without its budget check."""
+    found: set[str] | None = set() if collect_graph6 else None
+    counts = []
+    for k in range(1, max_vertices + 1):
+        subsets = connected = hangable = 0
+        for combo in itertools.combinations(range(host.n), k):
+            subsets += 1
+            sub = induced_subgraph(host, combo)
+            if not is_connected(sub):
+                continue
+            connected += 1
+            if check_hangable(sub).hangable:
+                hangable += 1
+                if found is not None:
+                    found.add(to_graph6(sub))
+        reported = connected if mode == "connected-induced" else subsets
+        counts.append(SizeCount(k, reported, connected, hangable))
+    emitted = tuple(sorted(found)) if found is not None else None
+    return SubgraphSearchReport(mode, max_vertices, tuple(counts), emitted)
+
+
+@pytest.fixture(scope="session")
+def subgraph_search_reference():
+    return _search_by_public_routes

@@ -624,6 +624,17 @@ def test_subgraph_search_budget_exit_4(capsys):
     assert code == 4
 
 
+def test_subgraph_search_budget_refusal_is_quick(capsys):
+    # the subset count stops growing once it passes the budget, so a huge
+    # host is refused at once, with a message of bounded length
+    start = time.perf_counter()
+    code = main(["subgraph-search", "path:30000", "--max-vertices", "30000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 4 and elapsed < 1.0, elapsed
+    assert "more than the budget of 10000000 subsets" in err and len(err) < 100, err
+
+
 def test_budget_only_on_subgraph_search(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "grid:2x2", "--budget", "5"])

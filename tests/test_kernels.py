@@ -469,9 +469,10 @@ def test_backends_agree_product_verifiers():
 
 
 def profile_lists(kernel, dist, n):
-    """``kernel.profile`` as lists, its member ids cut to the ones in use."""
+    """``kernel.profile`` as lists; it returns no more member ids than it uses."""
     ecc, diameter, radius, members, counts = kernel.profile(dist, n)
-    return list(ecc), diameter, radius, list(members[:sum(counts)]), list(counts)
+    assert len(members) == sum(counts)
+    return list(ecc), diameter, radius, list(members), list(counts)
 
 
 @compiled
@@ -514,6 +515,64 @@ def test_backends_agree_profile_past_128(monkeypatch):
     assert pure_calls == []
 
 
+def subgraph_answers(kernel, masks, sizes, emit=True):
+    """``kernel.subgraph_counts`` at each size k: (k, counts, the hits emitted)."""
+    out = []
+    for k in sizes:
+        hits = []
+        out.append((k, kernel.subgraph_counts(masks, k, hits.append if emit else None), hits))
+    return out
+
+
+@compiled
+def test_backends_agree_subgraph_counts(monkeypatch, one_labeling_per_class,
+                                        subgraph_search_reference):
+    from hanggraph.explorer import search_hangable_subgraphs
+
+    rng = random.Random(27)
+    hosts = [(g, g.n) for n in range(1, 6) for g in iter_graphs(n)]
+    # the fixture's 936 graphs hold every class at n = 6, and these vertex
+    # invariants tell all 156 classes apart, so one graph per invariant is
+    # one per class
+    per_class = {}
+    for g in one_labeling_per_class(6):
+        m, deg = g.masks, [mask.bit_count() for mask in g.masks]
+        nbrs = [[u for u in range(6) if m[v] >> u & 1] for v in range(6)]
+        key = sorted((deg[v], tuple(sorted(deg[u] for u in nbrs[v])),  # and v's triangles:
+                      sum((m[u] & m[v]).bit_count() for u in nbrs[v])) for v in range(6))
+        per_class.setdefault(tuple(key), g)
+    assert len(per_class) == 156
+    hosts += [(g, 6) for g in per_class.values()]
+    hosts += [(random_connected_graph(n, rng, p), 3 + n % 2)
+              for n, p in ((8, 0.3), (11, 0.5), (16, 0.2), (24, 0.1))]
+    hosts += [(graph_from_bits(10, rng.getrandbits(pair_count(10))), 4)]
+    # masks of two and three words; the whole host is also a subset of more
+    # than 64 vertices, which takes masks of as many words
+    hosts += [(random_connected_graph(n, rng, p), 2) for n, p in ((65, 0.1), (129, 0.05))]
+    settings = [(mode, collect) for mode in ("induced", "connected-induced")
+                for collect in (False, True)]
+    for i, (host, max_vertices) in enumerate(hosts):
+        masks, n = host.masks, host.n
+        sizes = range(1, max_vertices + 1)
+        got = subgraph_answers(ck, masks, sizes)
+        assert subgraph_answers(pyk, masks, sizes) == got, host
+        if n > 64:
+            assert subgraph_answers(ck, masks, (n,)) == subgraph_answers(pyk, masks, (n,))
+        # each host in one mode, with or without its graph6 hits, in turn
+        mode, collect = settings[i % 4]
+        assert search_hangable_subgraphs(host, max_vertices, mode, collect_graph6=collect) == (
+            subgraph_search_reference(host, max_vertices, mode, collect)), host
+
+    # a hits buffer of three subsets fills and resumes many times
+    monkeypatch.setattr(ck, "HITS", 3)
+    host = random_connected_graph(12, rng, 0.3).masks
+    assert subgraph_answers(ck, host, range(1, 6)) == subgraph_answers(pyk, host, range(1, 6))
+    for kernel in (pyk, ck):
+        for k in (0, 13, -1):
+            with pytest.raises(ValueError):
+                kernel.subgraph_counts(host, k)
+
+
 @compiled
 def test_compiled_rejects_mismatched_distance_length():
     # the length check guards C against reading past the matrix it is given
@@ -534,7 +593,8 @@ def test_compiled_rejects_mismatched_distance_length():
 
 
 RAW_ENTRIES = ("_apsp", "_connected", "_block", "_kmin", "_subset", "_triples", "_profile",
-               "_classify", "_classify_masks", "_graph6", "_corona", "_cartesian", "_join")
+               "_profile_members", "_classify", "_classify_masks", "_graph6", "_corona",
+               "_cartesian", "_join", "_subgraphs")
 
 
 @compiled
@@ -559,6 +619,7 @@ def test_compiled_writes_stay_in_their_buffers(monkeypatch):
         monkeypatch.setattr(ck, name, lambda *a, _name=name, _fn=getattr(ck, name):
                             called.add(_name) or _fn(*a))
     monkeypatch.setattr(ck, "_ZERO", {code: Guarded(code) for code in ck._ZERO})
+    monkeypatch.setattr(ck, "HITS", 5)  # so that the subset walks fill their hits buffers
     rng = random.Random(61)
     for n in (1, 63, 64, 65, 128, 129, 300):
         masks = random_connected_graph(n, rng, 4 / n).masks
@@ -567,6 +628,9 @@ def test_compiled_writes_stay_in_their_buffers(monkeypatch):
         half = random_connected_graph(max(1, n // 2), rng, 0.1).masks
         rest = random_connected_graph(n - len(half), rng, 0.1).masks if n > 1 else []
         body = graph6_case(n, bits_of_graph6_stream(masks))[0]
+        # single vertices, whose hits fill the buffer many times, and the
+        # whole graph, in one and two words
+        subset_sizes = sorted({1, n}) if n <= 65 else (1,)
 
         def answers(kernel):
             out = [list(kernel.apsp(masks))[:n * n], kernel.is_connected_masks(masks),
@@ -576,7 +640,8 @@ def test_compiled_writes_stay_in_their_buffers(monkeypatch):
                    kernel.graph6_masks(n, body)[:n],
                    kernel.corona_verify([0], [0], h),  # on 1 + (n - 1) vertices
                    kernel.cartesian_verify([0], [0], masks, dist),  # on 1 x n vertices
-                   kernel.join_verify(half, rest)]  # on n vertices
+                   kernel.join_verify(half, rest),  # on n vertices
+                   subgraph_answers(kernel, masks, subset_sizes)]
             if n <= pyk.MAX_CLASSIFY_N:
                 out.append(kernel.classify_bits(n, 0))
             return out
@@ -687,7 +752,8 @@ def test_analyze_100_vertices_stays_compiled(monkeypatch, capsys):
 
 KERNEL_NAMES = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
                 "is_block_graph_masks", "smallest_power_k", "classify_bits", "classify_masks",
-                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify", "profile")
+                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify", "profile",
+                "subgraph_counts")
 
 
 def test_wrapper_backend_reported():

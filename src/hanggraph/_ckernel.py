@@ -18,28 +18,19 @@ returns the same answer, which C computes itself: this module never imports
 the twin.  Masks go into C as W = ceil(n / 64) words per vertex, low word
 first; distance matrices as an ``array('h')`` (int16, -1 for unreachable),
 read in place, so any other flat int sequence is converted first; a graph6
-bit field as its bytes.  ``apsp`` and ``classify_masks`` return the
-``array('h')`` C filled, and ``profile`` the eccentricities (``array('h')``),
-every P(v) as ascending vertex ids, P(0) first (``array('H')`` of as many
-items as the counts sum to, which the first of its two C calls returns), and
-each |P(v)| (``array('H')``).  ``subgraph_counts`` walks the k-subsets of a
-host in one C call per ``HITS`` hangable subsets it reports: C keeps the
-current subset in an index array of k ints, builds each subset's graph in
-scratch for a graph on k vertices, and writes the ids of the hangable ones
-into a hits buffer of ``HITS`` * k ints when the caller wants them.
-Tuples come back packed into one 64-bit word, laid out in each docstring.
+bit field as its bytes.  Matrices and eccentricities come back as the
+``array('h')`` C filled, vertex ids and counts as ``array('H')``, and tuples
+packed into one 64-bit word, laid out in each docstring.
 
 C allocates nothing: every buffer it writes is a repeat of one of the
 ``_ZERO`` items, and a call that needs several gets one scratch buffer of
-``_work_words`` words.  Every call that
-takes or makes a distance matrix, or tests connectivity, raises
-``ValueError`` past ``MAX_DISTANCE_N`` = 32767 vertices, where a distance
-may not fit int16, before C sees the graph; ``classify_bits`` does past
-``MAX_CLASSIFY_N`` = 11.  The block test and the graph6 decoder serve any
-size.  Like the pure twin, every call that decides something about a graph
-with no vertices raises ``ValueError`` before C sees it.  Flag bits and
-limits come from ``_contract``.  Importing raises ``ImportError`` with the
-reason when the kernel cannot be built or loaded.
+``_work_words`` words.  Each call holds its size to ``_contract.size_error``'s
+rule before C sees the graph: past ``MAX_DISTANCE_N`` = 32767 vertices a
+distance may not fit int16, nor a mask the ``MAX_WORDS`` words C keeps on
+its stack.  ``SIGNATURES`` types every entry point of ``hgkernel.c``; C's
+``hg_<name>`` is bound as ``_<name>``.  Flag bits and limits come from
+``_contract``.  Importing raises ``ImportError`` with the reason when the
+kernel cannot be built or loaded.
 """
 
 from __future__ import annotations
@@ -52,7 +43,8 @@ from ctypes import c_int, c_int64, c_uint64, c_void_p
 from functools import cache
 from typing import Callable, Sequence
 
-from ._contract import F_COMPLEMENT_CONNECTED, F_CONNECTED, MAX_CLASSIFY_N, MAX_DISTANCE_N
+from ._contract import (F_COMPLEMENT_CONNECTED, F_CONNECTED, MAX_CLASSIFY_N, MAX_DISTANCE_N,
+                        size_error)
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hgkernel.c")
 CFLAGS = ("-O2", "-shared", "-fPIC")
@@ -148,32 +140,33 @@ def build() -> str:
     return path
 
 
-def _entry(lib: ctypes.CDLL, name: str, restype, *argtypes):
-    fn = getattr(lib, name)
-    fn.restype = restype
-    fn.argtypes = argtypes
-    return fn
-
-
 _P = c_void_p  # inputs go in as bytes or an array's address, outputs as an array's address
+# every entry point of hgkernel.c: its result type, then its argument types
+SIGNATURES = {
+    "hg_apsp": (None, _P, c_int, _P),
+    "hg_connected": (c_int, _P, c_int),
+    "hg_block": (c_int, _P, c_int, _P),
+    "hg_kmin": (c_int, _P, c_int, _P),
+    "hg_subset": (c_int64, _P, c_int, _P),
+    "hg_triples": (c_int64, _P, c_int, _P),
+    "hg_profile": (c_int64, _P, c_int, _P, _P),
+    "hg_profile_members": (None, _P, c_int, _P, _P),
+    "hg_classify": (c_int64, c_int, c_uint64),
+    "hg_classify_masks": (c_int64, _P, c_int, _P, _P),
+    "hg_graph6_masks": (None, _P, c_int, _P),
+    "hg_corona_verify": (c_int, _P, c_int, _P, _P, c_int, _P),
+    "hg_cartesian_verify": (c_int, _P, c_int, _P, _P, c_int, _P, _P),
+    "hg_join_verify": (c_int, _P, c_int, _P, c_int, _P),
+    "hg_subgraph_counts": (c_int, _P, c_int, c_int, _P, _P, _P, c_int),
+}
 try:
     LIBRARY = build()
     _lib = ctypes.CDLL(LIBRARY)
-    _apsp = _entry(_lib, "hg_apsp", None, _P, c_int, _P)
-    _connected = _entry(_lib, "hg_connected", c_int, _P, c_int)
-    _block = _entry(_lib, "hg_block", c_int, _P, c_int, _P)
-    _kmin = _entry(_lib, "hg_kmin", c_int, _P, c_int, _P)
-    _subset = _entry(_lib, "hg_subset", c_int64, _P, c_int, _P)
-    _triples = _entry(_lib, "hg_triples", c_int64, _P, c_int, _P)
-    _profile = _entry(_lib, "hg_profile", c_int64, _P, c_int, _P, _P)
-    _profile_members = _entry(_lib, "hg_profile_members", None, _P, c_int, _P, _P)
-    _classify = _entry(_lib, "hg_classify", c_int64, c_int, c_uint64)
-    _classify_masks = _entry(_lib, "hg_classify_masks", c_int64, _P, c_int, _P, _P)
-    _graph6 = _entry(_lib, "hg_graph6_masks", None, _P, c_int, _P)
-    _corona = _entry(_lib, "hg_corona_verify", c_int, _P, c_int, _P, _P, c_int, _P)
-    _cartesian = _entry(_lib, "hg_cartesian_verify", c_int, _P, c_int, _P, _P, c_int, _P, _P)
-    _join = _entry(_lib, "hg_join_verify", c_int, _P, c_int, _P, c_int, _P)
-    _subgraphs = _entry(_lib, "hg_subgraph_counts", c_int, _P, c_int, c_int, _P, _P, _P, c_int)
+    for _symbol, (_restype, *_argtypes) in SIGNATURES.items():
+        _fn = getattr(_lib, _symbol)
+        _fn.restype = _restype
+        _fn.argtypes = _argtypes
+        globals()[_symbol[2:]] = _fn  # hg_apsp is bound as _apsp, and so on
 except (OSError, AttributeError) as exc:
     # unreadable source, no cache directory, failed exec or load, missing symbol
     raise ImportError(f"compiled kernel unavailable: {exc}") from exc
@@ -188,14 +181,6 @@ def _work_words(n: int, extra: int = 0) -> int:
     return 2 + n * (n + 63 >> 6) + (4 * BLOCK_INTS * n + 2 * (n * n + n + extra) + 7) // 8
 
 
-def _fits(n: int) -> int:
-    """n, or ``ValueError`` past ``MAX_DISTANCE_N``, where distances may not fit int16."""
-    if n > MAX_DISTANCE_N:
-        raise ValueError(f"a graph on {n} vertices is past the kernel's "
-                         f"{MAX_DISTANCE_N}-vertex limit for distances")
-    return n
-
-
 def _masks(masks: Sequence[int]) -> bytes:
     """Each mask as W = ceil(n / 64) words, low word first, vertex after vertex."""
     if len(masks) <= 64:  # each mask is its own word
@@ -204,35 +189,43 @@ def _masks(masks: Sequence[int]) -> bytes:
     return b"".join([m.to_bytes(size, "little") for m in masks])
 
 
-def _dist(dist: Sequence[int], n: int) -> array:
-    """The matrix as an ``array('h')`` C can read in place: itself if it is one."""
-    if not 0 < n <= MAX_DISTANCE_N or n * n != len(dist):
-        raise ValueError(f"a distance matrix needs 1 to {MAX_DISTANCE_N} vertices "
-                         f"and n * n entries")
+def _dist(dist: Sequence[int], n: int, name: str) -> array:
+    """The matrix of kernel ``name``'s call as an ``array('h')`` C can read in
+    place: itself if it is one."""
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error(name, n, MAX_DISTANCE_N)
+    if n * n != len(dist):  # C would read past the matrix
+        raise ValueError(f"a distance matrix on {n} vertices needs {n * n} entries, "
+                         f"got {len(dist)}")
     return dist if type(dist) is array and dist.typecode == "h" else array("h", dist)
 
 
 def apsp(masks: Sequence[int]) -> Sequence[int]:
     """The ``array('h')`` C fills."""
-    n = _fits(len(masks))
+    n = len(masks)
+    if n > MAX_DISTANCE_N:
+        raise size_error("apsp", n, MAX_DISTANCE_N)
     dist = _ZERO["h"] * (n * n)  # named, so it outlives the call that fills it
     _apsp(_masks(masks), n, dist.buffer_info()[0])
     return dist
 
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
-    return bool(_connected(_masks(masks), _fits(len(masks))))  # C keeps its masks on the stack
+    n = len(masks)
+    if n > MAX_DISTANCE_N:  # C keeps its masks on the stack, at most MAX_WORDS words
+        raise size_error("is_connected_masks", n, MAX_DISTANCE_N)
+    return bool(_connected(_masks(masks), n))
 
 
 def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
-    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    d, ecc = _dist(dist, n, "hangable_subset"), _ZERO["h"] * n
     r = _subset(d.buffer_info()[0], n, ecc.buffer_info()[0])
     return (True, -1, -1) if r < 0 else (False, r >> 16, r & 0xFFFF)
 
 
 def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     """Mirror of the pure hangable_triples: the first violating triple or -1s."""
-    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    d, ecc = _dist(dist, n, "hangable_triples"), _ZERO["h"] * n
     r = _triples(d.buffer_info()[0], n, ecc.buffer_info()[0])
     return (True, -1, -1, -1) if r < 0 else (False, r >> 32, r >> 16 & 0xFFFF, r & 0xFFFF)
 
@@ -243,7 +236,7 @@ def profile(dist: Sequence[int], n: int) -> tuple[Sequence[int], int, int,
     counts and packs the diameter in bits 0-15 of its word, the radius in
     bits 16-31 and the counts' sum above; a second fills the members, in a
     buffer of that many ids."""
-    d = _dist(dist, n)
+    d = _dist(dist, n, "profile")
     ecc, counts = _ZERO["h"] * n, _ZERO["H"] * n
     r = _profile(d.buffer_info()[0], n, ecc.buffer_info()[0], counts.buffer_info()[0])
     members = _ZERO["H"] * (r >> 32)
@@ -257,7 +250,7 @@ def is_block_graph_masks(masks: Sequence[int]) -> bool:
 
 
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
-    d, ecc = _dist(dist, n), _ZERO["h"] * n
+    d, ecc = _dist(dist, n, "smallest_power_k"), _ZERO["h"] * n
     return _kmin(d.buffer_info()[0], n, ecc.buffer_info()[0])
 
 
@@ -265,7 +258,7 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     """Mirror of the pure classify_bits.  C packs flags in bits 0-7, then
     the diameter, radius and kmin, a byte each."""
     if not 1 <= n <= MAX_CLASSIFY_N:
-        raise ValueError(f"classify_bits needs 1 to {MAX_CLASSIFY_N} vertices, got {n}")
+        raise size_error("classify_bits", n, MAX_CLASSIFY_N)
     r = _classify(n, bits)
     if r == 0:
         return (0, -1, -1, -1)
@@ -281,7 +274,7 @@ def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, int,
     complement's matrix into the ``array('h')`` returned last."""
     n = len(masks)
     if not 0 < n <= MAX_DISTANCE_N:
-        raise ValueError(f"classify_masks needs 1 to {MAX_DISTANCE_N} vertices, got {n}")
+        raise size_error("classify_masks", n, MAX_DISTANCE_N)
     co_dist, work = _ZERO["h"] * (n * n), _ZERO["Q"] * _work_words(n)
     r = _classify_masks(_masks(masks), n, co_dist.buffer_info()[0], work.buffer_info()[0])
     flags = r & 255
@@ -299,7 +292,7 @@ def graph6_masks(n: int, body: bytes) -> tuple[int, ...]:
         raise ValueError(f"graph6 bit field of {n} vertices needs {need} bytes, got {len(body)}")
     size = n + 63 >> 6
     words = _ZERO["Q"] * (n * size)
-    _graph6(body, n, words.buffer_info()[0])
+    _graph6_masks(body, n, words.buffer_info()[0])
     if size <= 1:
         return tuple(words.tolist())
     raw, size = words.tobytes(), 8 * size
@@ -310,30 +303,34 @@ def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                   masks_h: Sequence[int]) -> int:
     """Mirror of the pure corona_verify."""
     ng, nh = len(masks_g), len(masks_h)
-    dg = _dist(dist_g, ng)
-    work = _ZERO["Q"] * _work_words(_fits(ng * (1 + nh)), ng)
-    return _corona(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
-                   work.buffer_info()[0])
+    nc = ng * (1 + nh)
+    if not 0 < nc <= MAX_DISTANCE_N:
+        raise size_error("corona_verify", nc, MAX_DISTANCE_N)
+    dg, work = _dist(dist_g, ng, "corona_verify"), _ZERO["Q"] * _work_words(nc, ng)
+    return _corona_verify(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
+                          work.buffer_info()[0])
 
 
 def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
                      masks_h: Sequence[int], dist_h: Sequence[int]) -> int:
     """Mirror of the pure cartesian_verify."""
     ng, nh = len(masks_g), len(masks_h)
-    dg, dh = _dist(dist_g, ng), _dist(dist_h, nh)
-    work = _ZERO["Q"] * _work_words(_fits(ng * nh), ng + nh)
-    return _cartesian(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
-                      dh.buffer_info()[0], work.buffer_info()[0])
+    if not 0 < ng * nh <= MAX_DISTANCE_N:
+        raise size_error("cartesian_verify", ng * nh, MAX_DISTANCE_N)
+    dg, dh = _dist(dist_g, ng, "cartesian_verify"), _dist(dist_h, nh, "cartesian_verify")
+    work = _ZERO["Q"] * _work_words(ng * nh, ng + nh)
+    return _cartesian_verify(_masks(masks_g), ng, dg.buffer_info()[0], _masks(masks_h), nh,
+                             dh.buffer_info()[0], work.buffer_info()[0])
 
 
 def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     """Mirror of the pure join_verify."""
     nj = len(masks_g) + len(masks_h)
     if not 0 < nj <= MAX_DISTANCE_N:
-        raise ValueError(f"join_verify needs 1 to {MAX_DISTANCE_N} vertices, got {nj}")
+        raise size_error("join_verify", nj, MAX_DISTANCE_N)
     work = _ZERO["Q"] * _work_words(nj)
-    return _join(_masks(masks_g), len(masks_g), _masks(masks_h), len(masks_h),
-                 work.buffer_info()[0])
+    return _join_verify(_masks(masks_g), len(masks_g), _masks(masks_h), len(masks_h),
+                        work.buffer_info()[0])
 
 
 def subgraph_counts(masks: Sequence[int], k: int,
@@ -346,8 +343,7 @@ def subgraph_counts(masks: Sequence[int], k: int,
     subset, so the walk resumes there."""
     n = len(masks)
     if not 1 <= k <= min(n, MAX_DISTANCE_N):
-        raise ValueError(f"subgraph_counts needs 1 <= k <= n and k <= {MAX_DISTANCE_N}, "
-                         f"got k = {k} on {n} vertices")
+        raise size_error("subgraph_counts", k, min(n, MAX_DISTANCE_N))
     adj, idx, work = _masks(masks), _ZERO["i"] * k, _ZERO["Q"] * _work_words(k)
     idx[:k] = array("i", range(k))  # the first subset
     cap = HITS if emit is not None else 0
@@ -355,7 +351,7 @@ def subgraph_counts(masks: Sequence[int], k: int,
     args = (adj, n, k, idx.buffer_info()[0], work.buffer_info()[0], hits.buffer_info()[0], cap)
     connected = hangable = 0
     while True:
-        done = _subgraphs(*args)
+        done = _subgraph_counts(*args)
         connected += work[0]
         hangable += work[1]
         if emit is not None:

@@ -1,10 +1,18 @@
-"""Constants of the kernel contract that both backends share.
+"""The kernel contract that both backends share.
 
-``_pykernel`` and ``_ckernel`` return the same flag bits and verifier codes,
-and ``kernels`` re-exports them.  They live here, apart from either backend,
-so that reading them loads neither: a process on the compiled kernel never
+``_pykernel`` and ``_ckernel`` each define every function in ``KERNELS``
+with the same parameters, return the same flag bits and verifier codes,
+and refuse the same sizes (``size_error``); ``kernels`` binds the names
+from the selected module.  All of it lives here, apart from either backend,
+so that reading it loads neither: a process on the compiled kernel never
 needs the pure twin's source.  ``hgkernel.c`` defines the same values.
 """
+
+# the public kernel functions, the same on both backends
+KERNELS = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
+           "is_block_graph_masks", "smallest_power_k", "classify_bits", "classify_masks",
+           "graph6_masks", "corona_verify", "cartesian_verify", "join_verify", "profile",
+           "subgraph_counts")
 
 # the most vertices a distance matrix may have: every distance of a connected
 # graph on them fits int16, the type the compiled kernel stores them in
@@ -33,3 +41,16 @@ VERIFY_DIAMETER = 3
 VERIFY_VERTEX_PERIPHERY = 4
 VERIFY_GRAPH_PERIPHERY = 5
 VERIFY_HANGABLE = 6
+
+
+def size_error(name: str, n: int, limit: int) -> ValueError:
+    """The error of kernel ``name`` on n vertices, n below 1 or past ``limit``.
+
+    Each call holds the vertex count of its matrix, graph or product to
+    ``MAX_DISTANCE_N`` (``classify_bits`` to ``MAX_CLASSIFY_N``, and
+    ``subgraph_counts`` its k to the host's n too) and, but for ``apsp`` and
+    ``is_connected_masks``, to at least one vertex; ``is_block_graph_masks``
+    and ``graph6_masks`` serve any size.  Both backends test the bounds
+    inline, before allocating anything, and build this only on failure."""
+    need = f"at most {limit} vertices" if n > limit else "at least one vertex"
+    return ValueError(f"{name} needs {need}, got {n}")

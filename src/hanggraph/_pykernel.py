@@ -11,33 +11,19 @@ This module has two roles: it is the reference that the tests hold every
 compiled answer against, and the backend when no C compiler works or
 HANGGRAPH_PURE=1 is set.  It loads at import of ``kernels`` on the pure
 backend; on the compiled one, only when ``blocks.biconnected_components``
-first runs.  Python ints double as unbounded bitsets, so nothing here has a
-vertex limit but ``classify_bits``, which raises ``ValueError`` past
-``MAX_CLASSIFY_N`` vertices as the compiled twin does; the callers in the
-package keep every matrix within ``MAX_DISTANCE_N`` vertices.  The flag
-bits, verifier codes and limits come from ``_contract``, which both
-backends share.  The
-deciders, kmin, ``classify_bits``, ``classify_masks`` and the verifiers need
-at least one vertex and raise ``ValueError`` (an empty ``max``) on a graph
-with none, as the compiled twin does.  ``classify_bits`` and
-``classify_masks`` share one body, ``_classify``: the tuple (flags,
-diameter, radius, |P(G)|, kmin) that the compiled twin packs into one word;
-it computes the eccentricities once for both deciders
-and takes kmin = 1 from the subset verdict it already has.  kmin reads G's
-own matrix: ``_subset`` judges each power G^k through a threshold on G's
-distances, and no power matrix is built.
-``classify_masks`` adds the edge count and
-the two complement flags, the self-complementary one from a backtracking
-search.  ``graph6_masks`` decodes a graph6 bit field into masks.
-``profile`` reads every eccentricity and vertex periphery off a matrix:
-(eccentricities, diameter, radius, members, counts), where members holds
-each P(v) as ascending vertex ids, P(0) first, and counts[v] = |P(v)|; the
-compiled twin returns the same fields in arrays, its diameter and radius
-packed into one word by C.  ``subgraph_counts`` walks the k-subsets of a
-host in ``itertools.combinations`` order and judges each induced subgraph
-with ``apsp`` and ``_subset``, building no ``Graph``.
-``biconnected_blocks`` has no compiled twin; it serves
-``blocks.biconnected_components`` and ``is_block_graph_masks``.
+first runs.  Python ints double as unbounded bitsets, but every call holds
+its size to the compiled twin's limits (``_contract.size_error``).  The flag
+bits, verifier codes and limits come from ``_contract``, which both backends
+share.  ``classify_bits`` and ``classify_masks`` share one body,
+``_classify``: the tuple (flags, diameter, radius, |P(G)|, kmin) that the
+compiled twin packs into one word; it computes the eccentricities once for
+both deciders and takes kmin = 1 from the subset verdict it already has.
+kmin reads G's own matrix: ``_subset`` judges each power G^k through a
+threshold on G's distances, and no power matrix is built.
+``subgraph_counts`` judges each induced subgraph with ``apsp`` and
+``_subset``, building no ``Graph``.  ``biconnected_blocks`` has no compiled
+twin; it serves ``blocks.biconnected_components`` and
+``is_block_graph_masks``.
 """
 
 from __future__ import annotations
@@ -48,9 +34,10 @@ from typing import Callable, Iterator, Sequence
 
 from ._contract import (F_BLOCK_GRAPH, F_COMPLEMENT_CONNECTED, F_CONNECTED, F_HANGABLE,
                         F_HANGABLE_TRIPLES, F_SELF_CENTERED, F_SELF_COMPLEMENTARY, F_TREE,
-                        MAX_CLASSIFY_N, SELF_COMPLEMENTARY_MAX_N, VERIFY_DIAMETER, VERIFY_DISTANCE,
-                        VERIFY_ECCENTRICITY, VERIFY_GRAPH_PERIPHERY, VERIFY_HANGABLE, VERIFY_OK,
-                        VERIFY_VERTEX_PERIPHERY)
+                        MAX_CLASSIFY_N, MAX_DISTANCE_N, SELF_COMPLEMENTARY_MAX_N,
+                        VERIFY_DIAMETER, VERIFY_DISTANCE, VERIFY_ECCENTRICITY,
+                        VERIFY_GRAPH_PERIPHERY, VERIFY_HANGABLE, VERIFY_OK,
+                        VERIFY_VERTEX_PERIPHERY, size_error)
 
 # a graph6 data byte and its six bits as text, most significant first
 _GRAPH6_BITS = {c + 63: format(c, "06b") for c in range(64)}
@@ -100,6 +87,8 @@ def graph6_masks(n: int, body: bytes) -> tuple[int, ...]:
 
 def is_connected_masks(masks: Sequence[int]) -> bool:
     n = len(masks)
+    if n > MAX_DISTANCE_N:
+        raise size_error("is_connected_masks", n, MAX_DISTANCE_N)
     if n <= 1:
         return True
     seen = frontier = 1
@@ -118,6 +107,8 @@ def is_connected_masks(masks: Sequence[int]) -> bool:
 def apsp(masks: Sequence[int]) -> list[int]:
     """All-pairs BFS distances, flat row-major, -1 where unreachable."""
     n = len(masks)
+    if n > MAX_DISTANCE_N:
+        raise size_error("apsp", n, MAX_DISTANCE_N)
     dist = [-1] * (n * n)
     for s in range(n):
         base = s * n
@@ -159,6 +150,8 @@ def profile(dist: Sequence[int], n: int) -> tuple[list[int], int, int, list[int]
     call per member; a row where it is common, by ``compress`` over its
     comparisons with the maximum, which costs less than those calls.
     """
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error("profile", n, MAX_DISTANCE_N)
     ecc: list[int] = []
     members: list[int] = []
     counts: list[int] = []
@@ -184,6 +177,8 @@ def hangable_subset(dist: Sequence[int], n: int) -> tuple[bool, int, int]:
     Returns (True, -1, -1), or (False, v, u) for the lexicographically first
     pair where u attains v's eccentricity but not the diameter.
     """
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error("hangable_subset", n, MAX_DISTANCE_N)
     ecc = _eccentricities(dist, n)
     return _subset(dist, n, ecc, max(ecc), 1)
 
@@ -218,10 +213,10 @@ def subgraph_counts(masks: Sequence[int], k: int,
     hangable one.  The subsets are walked in lexicographic order, the order
     of ``itertools.combinations``; ``emit``, when given, gets each hangable
     subset's ascending vertex ids as a tuple, in that order.  Raises
-    ``ValueError`` unless 1 <= k <= n."""
+    ``ValueError`` unless 1 <= k <= min(n, ``MAX_DISTANCE_N``)."""
     n = len(masks)
-    if not 1 <= k <= n:
-        raise ValueError(f"subgraph_counts needs 1 <= k <= n, got k = {k} on {n} vertices")
+    if not 1 <= k <= min(n, MAX_DISTANCE_N):
+        raise size_error("subgraph_counts", k, min(n, MAX_DISTANCE_N))
     connected = hangable = 0
     for ids in combinations(range(n), k):
         bit = {v: 1 << i for i, v in enumerate(ids)}  # host vertex -> its bit in the subset
@@ -253,6 +248,8 @@ def hangable_triples(dist: Sequence[int], n: int) -> tuple[bool, int, int, int]:
     u, and d(u, w) below the diameter.  Returns (True, -1, -1, -1), or
     (False, v, u, w) for the lexicographically first violating triple.
     """
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error("hangable_triples", n, MAX_DISTANCE_N)
     ecc = _eccentricities(dist, n)
     return _triples(dist, n, ecc, max(ecc))
 
@@ -350,6 +347,8 @@ def is_block_graph_masks(masks: Sequence[int]) -> bool:
 def smallest_power_k(dist: Sequence[int], n: int) -> int:
     """Least k for which the power G^k of a connected graph is hangable; the
     walk ends by k = diameter, where the power is complete."""
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error("smallest_power_k", n, MAX_DISTANCE_N)
     ecc = _eccentricities(dist, n)
     return _kmin(dist, n, ecc, max(ecc), 1)
 
@@ -395,8 +394,8 @@ def classify_bits(n: int, bits: int) -> tuple[int, int, int, int]:
     Raises ``ValueError`` past ``MAX_CLASSIFY_N`` vertices, where the index
     no longer fits the compiled twin's word.
     """
-    if n > MAX_CLASSIFY_N:
-        raise ValueError(f"classify_bits needs 1 to {MAX_CLASSIFY_N} vertices, got {n}")
+    if not 1 <= n <= MAX_CLASSIFY_N:
+        raise size_error("classify_bits", n, MAX_CLASSIFY_N)
     flags, diam, radius, _, kmin = _classify(masks_from_bits(n, bits), bits.bit_count())
     return (flags, diam, radius, kmin)
 
@@ -439,6 +438,8 @@ def classify_masks(masks: Sequence[int]) -> tuple[int, int, int, int, int, int,
     graph is isomorphic to its complement.
     """
     n = len(masks)
+    if not 0 < n <= MAX_DISTANCE_N:
+        raise size_error("classify_masks", n, MAX_DISTANCE_N)
     full = (1 << n) - 1
     co = [full ^ 1 << v ^ mask for v, mask in enumerate(masks)]
     m = sum(mask.bit_count() for mask in masks) // 2
@@ -478,6 +479,8 @@ def corona_verify(masks_g: Sequence[int], dist_g: Sequence[int],
     ng = len(masks_g)
     nh = len(masks_h)
     nc = ng * (1 + nh)
+    if not 0 < nc <= MAX_DISTANCE_N:
+        raise size_error("corona_verify", nc, MAX_DISTANCE_N)
     cmasks = _corona_masks(masks_g, masks_h)
     dist_c = apsp(cmasks)
 
@@ -566,6 +569,8 @@ def cartesian_verify(masks_g: Sequence[int], dist_g: Sequence[int],
     ng = len(masks_g)
     nh = len(masks_h)
     np_ = ng * nh
+    if not 0 < np_ <= MAX_DISTANCE_N:
+        raise size_error("cartesian_verify", np_, MAX_DISTANCE_N)
     pmasks = _cartesian_masks(masks_g, masks_h)
     dist_p = apsp(pmasks)
 
@@ -626,6 +631,8 @@ def join_verify(masks_g: Sequence[int], masks_h: Sequence[int]) -> int:
     ng = len(masks_g)
     nh = len(masks_h)
     nj = ng + nh
+    if not 0 < nj <= MAX_DISTANCE_N:
+        raise size_error("join_verify", nj, MAX_DISTANCE_N)
     gfull = (1 << ng) - 1
     hfull = (1 << nh) - 1
     jmasks = [masks_g[v] | (hfull << ng) for v in range(ng)]

@@ -7,35 +7,18 @@ itself; when it cannot be built or loaded, the pure-Python twin
 HANGGRAPH_PURE=1 forces the pure twin without trying the build.  So
 ``BACKEND`` alone says which code answered, and ``BACKEND_REASON`` why: the
 shared object loaded, HANGGRAPH_PURE=1, or the error that kept the compiled
-kernel out.  The fourteen kernel names here are the selected module's own
-functions; both modules implement the same signatures and are
-equivalence-tested against each other.  The flag bits, verifier codes and
-SELF_COMPLEMENTARY_MAX_N are re-exported from ``_contract``, so on the
-compiled backend this module never imports ``_pykernel``.
+kernel out.  Each name in ``_contract.KERNELS`` is bound here to the
+selected module's own function; both modules implement the same signatures
+and are equivalence-tested against each other.  The flag bits, verifier
+codes and limits are re-exported from ``_contract``, so on the compiled
+backend this module never imports ``_pykernel``.
 """
 
 from __future__ import annotations
 
 import os
 
-from ._contract import (  # re-exported contract constants
-    F_BLOCK_GRAPH,
-    F_COMPLEMENT_CONNECTED,
-    F_CONNECTED,
-    F_HANGABLE,
-    F_HANGABLE_TRIPLES,
-    F_SELF_CENTERED,
-    F_SELF_COMPLEMENTARY,
-    F_TREE,
-    SELF_COMPLEMENTARY_MAX_N,
-    VERIFY_DIAMETER,
-    VERIFY_DISTANCE,
-    VERIFY_ECCENTRICITY,
-    VERIFY_GRAPH_PERIPHERY,
-    VERIFY_HANGABLE,
-    VERIFY_OK,
-    VERIFY_VERTEX_PERIPHERY,
-)
+from ._contract import *  # noqa: F403 -- the contract, re-exported whole
 
 
 def _load_compiled():
@@ -54,16 +37,10 @@ def _load_compiled():
     return _ckernel, f"loaded {_ckernel.LIBRARY}"
 
 
-_c, BACKEND_REASON = _load_compiled()
-BACKEND = "compiled" if _c is not None else "pure"
+_backend, BACKEND_REASON = _load_compiled()
+BACKEND = "compiled" if _backend is not None else "pure"
+if _backend is None:
+    from . import _pykernel as _backend
 
-if _c is not None:
-    from ._ckernel import (apsp, cartesian_verify, classify_bits, classify_masks,
-                           corona_verify, graph6_masks, hangable_subset, hangable_triples,
-                           is_block_graph_masks, is_connected_masks, join_verify,
-                           profile, smallest_power_k, subgraph_counts)
-else:
-    from ._pykernel import (apsp, cartesian_verify, classify_bits, classify_masks,
-                            corona_verify, graph6_masks, hangable_subset, hangable_triples,
-                            is_block_graph_masks, is_connected_masks, join_verify,
-                            profile, smallest_power_k, subgraph_counts)
+for _name in KERNELS:
+    globals()[_name] = getattr(_backend, _name)

@@ -3,26 +3,34 @@
 Three layers are kept honest here: the pure-Python kernel, the compiled
 kernel (when built), and the public API, which goes through plain
 adjacency-list BFS and explicit graph constructions rather than the kernels'
-bit tricks.  Any two of them disagreeing is a bug somewhere.  The last
-section checks the compiled kernel's loader in fresh interpreters: one build
+bit tricks.  Any two of them disagreeing is a bug somewhere.  The contract
+section holds ``hgkernel.c``'s entry points and constants, both twins'
+parameters and size limits, and the agreement tests to ``_contract``.  The
+last section checks the compiled kernel's loader in fresh interpreters: one build
 per cache however many processes import at once, a stated reason whenever
 the pure backend is in use, and one compiler run for a failing compile.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
 import os
 import random
+import re
+import resource
 import shutil
 import subprocess
 import sys
 from array import array
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
+from hanggraph import _contract
 from hanggraph import _pykernel as pyk
 from hanggraph import (
     Graph,
@@ -44,6 +52,8 @@ from hanggraph.corpus import (
     pair_count,
     random_connected_graph,
 )
+from hanggraph._contract import (KERNELS, MAX_CLASSIFY_N, MAX_DISTANCE_N,
+                                 SELF_COMPLEMENTARY_MAX_N, size_error)
 from hanggraph.generators import complete, cycle, path
 from hanggraph.graph import disjoint_union
 
@@ -75,6 +85,13 @@ def bits_from_masks(masks):
 
 def all_bits(n):
     return range(1 << pair_count(n))
+
+
+def value_error(call, *args):
+    """The text of the ``ValueError`` that ``call(*args)`` raises."""
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    return str(exc.value)
 
 
 def rand_masks(rng, n, p):
@@ -158,13 +175,13 @@ def test_backends_agree_exhaustive_n5():
     for n in range(1, 6):
         for bits in all_bits(n):
             assert pyk.classify_bits(n, bits) == ck.classify_bits(n, bits)
-    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
-        with pytest.raises(ValueError):
-            kernel.classify_bits(0, 0)
-        # past 11 vertices the edge index no longer fits the compiled word
+    # a graph with no vertices has no metrics, and past 11 vertices the edge
+    # index no longer fits the compiled word
+    for n in (0, 12):
+        assert (value_error(pyk.classify_bits, n, 1) == value_error(ck.classify_bits, n, 1)
+                == str(size_error("classify_bits", n, MAX_CLASSIFY_N)))
+    for kernel in (pyk, ck):
         assert kernel.classify_bits(11, 1 << 54)[0] == 0
-        with pytest.raises(ValueError):
-            kernel.classify_bits(12, 1)
 
 
 def classify_masks_lists(kernel, masks):
@@ -406,11 +423,10 @@ def test_backends_agree_random_shapes():
         high_witnesses += max(triples[1:]) > 15
         assert pyk.is_block_graph_masks(masks) == ck.is_block_graph_masks(masks)
     assert high_witnesses > 0
-    for kernel in (pyk, ck):  # a graph with no vertices has no metrics
-        for decide in (kernel.hangable_subset, kernel.hangable_triples,
-                       kernel.smallest_power_k):
-            with pytest.raises(ValueError):
-                decide([], 0)
+    for name in ("hangable_subset", "hangable_triples", "smallest_power_k"):
+        # a graph with no vertices has no metrics
+        assert (value_error(getattr(pyk, name), [], 0) == value_error(getattr(ck, name), [], 0)
+                == str(size_error(name, 0, MAX_DISTANCE_N)))
 
 
 def smallest_power_reference(dist, n):
@@ -592,11 +608,6 @@ def test_compiled_rejects_mismatched_distance_length():
             ck.corona_verify(mg, dist, mh)
 
 
-RAW_ENTRIES = ("_apsp", "_connected", "_block", "_kmin", "_subset", "_triples", "_profile",
-               "_profile_members", "_classify", "_classify_masks", "_graph6", "_corona",
-               "_cartesian", "_join", "_subgraphs")
-
-
 @compiled
 def test_compiled_writes_stay_in_their_buffers(monkeypatch):
     # every buffer C writes is a repeat of one of ck._ZERO's zero items; here
@@ -614,8 +625,8 @@ def test_compiled_writes_stay_in_their_buffers(monkeypatch):
             buffers.append((buf, buf.itemsize * count))
             return buf
 
-    called = set()
-    for name in RAW_ENTRIES:
+    called, raw = set(), {symbol[2:] for symbol in ck.SIGNATURES}  # hg_apsp is ck._apsp
+    for name in raw:
         monkeypatch.setattr(ck, name, lambda *a, _name=name, _fn=getattr(ck, name):
                             called.add(_name) or _fn(*a))
     monkeypatch.setattr(ck, "_ZERO", {code: Guarded(code) for code in ck._ZERO})
@@ -651,7 +662,7 @@ def test_compiled_writes_stay_in_their_buffers(monkeypatch):
         for buf, used in buffers:
             assert buf.tobytes()[used:] == sentinel * pad, (n, buf.typecode, used)
         buffers.clear()
-    assert called == set(RAW_ENTRIES)
+    assert called == raw
 
 
 @compiled
@@ -750,16 +761,10 @@ def test_analyze_100_vertices_stays_compiled(monkeypatch, capsys):
 # --- the selected backend --------------------------------------------------------
 
 
-KERNEL_NAMES = ("apsp", "is_connected_masks", "hangable_subset", "hangable_triples",
-                "is_block_graph_masks", "smallest_power_k", "classify_bits", "classify_masks",
-                "graph6_masks", "corona_verify", "cartesian_verify", "join_verify", "profile",
-                "subgraph_counts")
-
-
 def test_wrapper_backend_reported():
     assert kernels.BACKEND in ("pure", "compiled")
     backend = ck if kernels.BACKEND == "compiled" else pyk
-    for name in KERNEL_NAMES:
+    for name in KERNELS:
         assert getattr(kernels, name) is getattr(backend, name), name
 
 
@@ -809,6 +814,141 @@ def test_apsp_matches_public_matrix():
                 assert dm.dist(u, v) == flat[u * g.n + v]
 
 
+# --- the kernel contract -----------------------------------------------------------
+
+KERNEL_C = Path(kernels.__file__).with_name("hgkernel.c")
+# the kernels with no caller in the package: hgbench and the acceptance sweep
+# call them, and the tests hold the product statements with the verifiers
+NO_PACKAGE_CALLER = {"classify_bits", "is_connected_masks", "corona_verify",
+                     "cartesian_verify", "join_verify"}
+
+
+def public_functions(module):
+    return {name for name, fn in vars(module).items() if inspect.isfunction(fn)
+            and fn.__module__ == module.__name__ and not name.startswith("_")}
+
+
+def agreement_test_lookups():
+    """The names that the backends_agree tests, and the functions of this
+    file they call, look up on a kernel module."""
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo = [name for name in defs if name.startswith("test_backends_agree_")]
+    seen, names = set(todo), set()
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("ck", "pyk", "kernel", "kernels")):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in defs and node.id not in seen:
+                seen.add(node.id)
+                todo.append(node.id)
+    return names
+
+
+@compiled
+def test_kernel_contract_names():
+    # every entry point hgkernel.c exports has a ctypes signature, and no more
+    source = KERNEL_C.read_text(encoding="utf-8")
+    exported = re.findall(r"^(?!static\b)(?:[A-Za-z_][\w \t*]*?\b)?(hg_\w+)\(", source, re.M)
+    assert sorted(exported) == sorted(ck.SIGNATURES)
+    # the public functions both backends define are the contract's names,
+    # each with the same parameters on both
+    assert public_functions(pyk) & public_functions(ck) == set(KERNELS)
+    for name in KERNELS:
+        pure, compiled_twin = ([(p.name, p.default) for p in
+                                inspect.signature(getattr(kernel, name)).parameters.values()]
+                               for kernel in (pyk, ck))
+        assert pure == compiled_twin, name
+    assert set(KERNELS) <= agreement_test_lookups()
+    package = set()
+    for module in KERNEL_C.parent.glob("*.py"):
+        if module.name not in ("kernels.py", "_ckernel.py", "_pykernel.py", "_contract.py"):
+            package.update(re.findall(r"\bkernels\.(\w+)", module.read_text(encoding="utf-8")))
+    assert set(KERNELS) - package == NO_PACKAGE_CALLER
+
+
+@contextmanager
+def address_space_cap(headroom=1 << 28):
+    """This process's address space capped at its present size plus
+    ``headroom`` bytes, so that an allocation a size check should have
+    refused raises ``MemoryError`` instead of taking the machine's memory."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():  # no /proc to size the process by: no cap
+        yield
+        return
+    size = int(statm.read_text(encoding="ascii").split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + headroom if hard == resource.RLIM_INFINITY else min(size + headroom, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def past_limit_calls():
+    """(name, args, n, limit) for a call of each kernel that has a size limit,
+    with n, the vertex count held to it, one past the limit, and at none where
+    the kernel needs a vertex.  No matrix is read once a bound fails, so an
+    empty one stands in."""
+    d = MAX_DISTANCE_N
+    big = [0] * (d + 1)
+    calls = [(name, ([], n), n, d) for name in ("hangable_subset", "hangable_triples",
+                                                "smallest_power_k", "profile") for n in (0, d + 1)]
+    return calls + [
+        ("apsp", (big,), d + 1, d), ("is_connected_masks", (big,), d + 1, d),
+        ("classify_bits", (0, 0), 0, MAX_CLASSIFY_N),
+        ("classify_bits", (MAX_CLASSIFY_N + 1, 0), MAX_CLASSIFY_N + 1, MAX_CLASSIFY_N),
+        ("classify_masks", ([],), 0, d), ("classify_masks", (big,), d + 1, d),
+        ("corona_verify", ([], [], [0]), 0, d), ("corona_verify", ([0], [0], big[1:]), d + 1, d),
+        ("cartesian_verify", ([], [], [0], [0]), 0, d),
+        ("cartesian_verify", ([0, 0], [], big[:(d + 1) // 2], []), d + 1, d),
+        ("join_verify", ([], []), 0, d), ("join_verify", (big[:20000], big[20000:]), d + 1, d),
+        ("subgraph_counts", ([0] * 3, 0), 0, 3), ("subgraph_counts", ([0] * 3, 4), 4, 3),
+        ("subgraph_counts", (big, d + 1), d + 1, d)]
+
+
+@compiled
+def test_kernel_contract_limits():
+    # both backends refuse a size past each kernel's limit with the same
+    # error, before allocating anything: with a check missing, a matrix on
+    # 32768 vertices would need gigabytes
+    calls = past_limit_calls()
+    assert {call[0] for call in calls} == set(KERNELS) - {"is_block_graph_masks", "graph6_masks"}
+    with address_space_cap():
+        for name, args, n, limit in calls:
+            assert (value_error(getattr(pyk, name), *args) == value_error(getattr(ck, name), *args)
+                    == str(size_error(name, n, limit))), (name, n)
+
+
+def c_constants():
+    """The values of hgkernel.c's ``#define``s and enum members, by name."""
+    source = re.sub(r"/\*.*?\*/", "", KERNEL_C.read_text(encoding="utf-8"), flags=re.S)
+    values = {name: int(value)
+              for name, value in re.findall(r"^#define (\w+) (\d+)\s*$", source, re.M)}
+    for body in re.findall(r"\benum\s*\{(.*?)\}", source, re.S):
+        value = -1
+        for item in filter(str.strip, body.split(",")):
+            name, _, given = item.partition("=")
+            value = int(given) if given.strip() else value + 1
+            values[name.strip()] = value
+    return values
+
+
+def test_c_constants_match_python():
+    # a C MAX_CLASSIFY_N below Python's would overrun hg_classify's stack arrays
+    c = c_constants()
+    assert c["MAX_CLASSIFY_N"] == MAX_CLASSIFY_N
+    assert c["SELF_COMPLEMENTARY_MAX_N"] == SELF_COMPLEMENTARY_MAX_N
+    codes = re.compile(r"(F|VERIFY)_\w+")
+    assert ({name: value for name, value in c.items() if codes.fullmatch(name)}
+            == {name: value for name, value in vars(_contract).items() if codes.fullmatch(name)})
+    assert c["MAX_WORDS"] >= -(-MAX_DISTANCE_N // 64)  # masks C keeps on its stack
+    if ck is not None:
+        assert c["BLOCK_INTS"] == ck.BLOCK_INTS
+
+
 # --- the compiled kernel's loader, in fresh interpreters --------------------------
 
 SRC = str(Path(kernels.__file__).resolve().parent.parent)
@@ -833,6 +973,8 @@ CC_PROGRAM = ((os.environ.get("CC") or "cc").split() or ["cc"])[0]
 
 
 UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+# the tests the UBSan gate reruns, each part of a name selecting some
+UBSAN_TESTS = ("backends_agree", "compiled_rejects", "compiled_writes_stay")
 
 
 def test_backend_agreement_under_ubsan(tmp_path):
@@ -854,15 +996,20 @@ def test_backend_agreement_under_ubsan(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert res.returncode != 0 and "runtime error" in res.stderr, res.stderr
 
+    # a part that selects nothing, or a test renamed out of the gate, fails here
+    selected = [name for name in globals()
+                if name.startswith("test_") and any(part in name for part in UBSAN_TESTS)]
+    assert all(any(part in name for name in selected) for part in UBSAN_TESTS), selected
     cache = tmp_path / "cache"
     # -s: a sanitizer report must reach this stderr before the child aborts
     res = subprocess.run([sys.executable, "-m", "pytest", "-s", "-p", "no:cacheprovider", __file__,
-                          "-k", "backends_agree or compiled_rejects or oversized"],
+                          "-k", " or ".join(UBSAN_TESTS)],
                          env=child_env(CC=" ".join(cc), XDG_CACHE_HOME=str(cache)),
                          capture_output=True, text=True, timeout=300)
     # a silent fallback to the pure kernel would pass without testing C
     assert f"hanggraph kernel: compiled (loaded {cache}" in res.stdout, res.stdout + res.stderr
     assert res.returncode == 0, res.stdout + res.stderr
+    assert re.search(rf"\b{len(selected)} passed\b", res.stdout), (len(selected), res.stdout)
 
 
 @pytest.mark.skipif(shutil.which(CC_PROGRAM) is None, reason="no C compiler")
@@ -871,9 +1018,8 @@ def test_kernel_compiles_without_warnings(tmp_path):
     # -Wunused-function instead of shipping, and a stack array sized by n
     # as -Wvla
     cc = (os.environ.get("CC") or "cc").split() or ["cc"]
-    source = Path(SRC) / "hanggraph" / "hgkernel.c"
     res = subprocess.run([*cc, "-O2", "-Wall", "-Wextra", "-Werror", "-Wvla", "-shared", "-fPIC",
-                          "-o", str(tmp_path / "hgkernel.so"), str(source)],
+                          "-o", str(tmp_path / "hgkernel.so"), str(KERNEL_C)],
                          capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
 
